@@ -56,7 +56,7 @@ Status RequireGen(const AttackContext& context) {
 }
 
 /// One corruption-aided linking trial against a PG release — the exact
-/// draw sequence of the historical MeasurePgBreaches trial body, with the
+/// draw sequence the pinned breach goldens were recorded with, with the
 /// corruption rate and prior kind as parameters so the worst-case
 /// adversary can reuse it.
 Result<TrialOutcome> PgLinkingTrial(const AttackContext& context, Rng& rng,
@@ -118,9 +118,8 @@ Result<TrialOutcome> PgLinkingTrial(const AttackContext& context, Rng& rng,
   return out;
 }
 
-/// One corruption trial against a conventional generalization — the exact
-/// draw sequence of the historical MeasureGeneralizationBreaches trial
-/// body, parameterized the same way.
+/// One corruption trial against a conventional generalization — the same
+/// pinned draw sequence, parameterized the same way.
 Result<TrialOutcome> GenTrial(const AttackContext& context, Rng& rng,
                               double corruption_rate,
                               BreachHarnessOptions::PriorKind kind) {

@@ -4,13 +4,14 @@
 #include <string_view>
 
 /// \file
-/// Phase-2 implementation selector (DESIGN.md §15). The columnar engine
-/// and the historical row-wise search produce byte-identical recodings —
-/// the row-wise path stays compiled and selectable as the differential-
-/// testing oracle (tests/phase2_equivalence_test.cc holds the two to it).
+/// Incognito's Phase-2 implementation selector (DESIGN.md §15); TDS has
+/// one engine and ignores it. The columnar engine and the row-wise search
+/// produce byte-identical recodings — the row-wise path stays compiled and
+/// selectable as the differential-testing oracle
+/// (tests/phase2_equivalence_test.cc holds the two to it).
 namespace pgpub::columnar {
 
-/// Which Phase-2 search engine evaluates candidates / lattice nodes.
+/// Which Phase-2 search engine evaluates Incognito's lattice nodes.
 enum class Phase2Impl {
   /// Resolve from the environment: PGPUB_PHASE2=rowwise selects the
   /// oracle path; anything else (including unset or malformed, mirroring
@@ -19,7 +20,7 @@ enum class Phase2Impl {
   /// Historical row-wise scan: per-candidate hash-map frequency counting.
   kRowwise,
   /// Dictionary-encoded base frequency set + radix group counter with
-  /// per-request scratch arenas (src/core/columnar).
+  /// pooled per-request scratch (src/core/columnar).
   kColumnar,
 };
 

@@ -266,14 +266,6 @@ Result<PublishedTable> PgPublisher::Publish(
       TdsOptions tds_options;
       tds_options.k = k;
       tds_options.pool = pool;
-      // Resolve the engine once here so hooks only pay for (and lazily
-      // build) columnar state when it will actually be used.
-      tds_options.phase2 = columnar::ResolvePhase2Impl(options_.phase2_impl);
-      if (hooks != nullptr &&
-          tds_options.phase2 == columnar::Phase2Impl::kColumnar) {
-        tds_options.qi_index = hooks->qi_index();
-        tds_options.scratch = hooks->scratch_pool();
-      }
       // With hooks, `class_labels` must outlive Run() unmoved: StoreRecoding
       // re-reads it through recoding_query to compute the cache key.
       std::vector<int32_t> tds_labels =

@@ -62,11 +62,11 @@ struct PgOptions {
   /// wall-clock only (see DESIGN.md §9).
   int num_threads = 0;
 
-  /// Phase-2 search engine (DESIGN.md §15). kAuto resolves `PGPUB_PHASE2`
-  /// (`rowwise` selects the historical oracle path; default columnar).
-  /// Like num_threads, this knob trades wall-clock only: both engines
-  /// produce byte-identical publications, which is why it stays out of
-  /// the engine's recoding-cache identity.
+  /// Incognito's Phase-2 engine (DESIGN.md §15); TDS has one engine and
+  /// ignores it. kAuto resolves `PGPUB_PHASE2` (`rowwise` selects the
+  /// oracle path; default columnar). Like num_threads, this knob trades
+  /// wall-clock only: both engines produce byte-identical publications,
+  /// which is why it stays out of the engine's recoding-cache identity.
   columnar::Phase2Impl phase2_impl = columnar::Phase2Impl::kAuto;
 
   /// The one home of every option-bundle rule (the checks used to be

@@ -2,12 +2,11 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/parallel/thread_pool.h"
 #include "common/result.h"
-#include "core/columnar/arena.h"
 #include "core/columnar/phase2.h"
 #include "core/columnar/qi_index.h"
 #include "generalize/qi_groups.h"
@@ -49,24 +48,11 @@ struct TdsOptions {
   /// bit-identical at every thread count.
   ThreadPool* pool = nullptr;
 
-  /// Phase-2 engine selection (DESIGN.md §15). Columnar collapses the
-  /// table to distinct (QI tuple, class label) weighted rows and scores
-  /// candidates over that base frequency set with arena-backed flat
-  /// buffers; every score it computes is bit-identical to the row-wise
-  /// scan, so the chosen recoding — and the published bytes — match the
-  /// oracle exactly. A `constraint` forces the row-wise path (its
-  /// per-group histograms read raw sensitive values the weighted view
-  /// does not carry).
+  /// Ignored: TDS has one engine; kept because perfbench/driver.cc sets it.
   columnar::Phase2Impl phase2 = columnar::Phase2Impl::kAuto;
 
-  /// Optional prebuilt QI index over (table, qi_attrs) — typically owned
-  /// by a PublicationEngine and shared across requests. When null the
-  /// specializer builds its own. Ignored on the row-wise path.
+  /// Ignored: TDS has one engine; kept because perfbench/driver.cc sets it.
   const columnar::QiIndex* qi_index = nullptr;
-
-  /// Optional shared scratch pool for columnar evaluation. When null the
-  /// specializer owns a private pool. Ignored on the row-wise path.
-  columnar::ScratchPool* scratch = nullptr;
 };
 
 /// \brief Top-Down Specialization (Fung, Wang & Yu, ICDE'05) producing a
@@ -102,12 +88,7 @@ class TopDownSpecializer {
 
  private:
   struct Group {
-    /// Row ids (row-wise engine) or weighted-row ids (columnar engine).
-    std::vector<uint32_t> rows;
-    /// Table rows represented: rows.size() row-wise, the summed weights
-    /// of the member weighted rows columnar. All size/score math uses
-    /// this so the two engines compute identical values.
-    int64_t weight = 0;
+    std::vector<uint32_t> rows;   ///< Table row ids.
     std::vector<int32_t> seg_lo;  ///< Per QI attr: start code of its segment.
     bool alive = true;
   };
@@ -118,12 +99,11 @@ class TopDownSpecializer {
     double score = 0.0;
     double gain = 0.0;
     int64_t min_new_size = 0;
-    /// Largest affected group and the reduction in sum of squared group
-    /// sizes the split would achieve. Once information gain is exhausted
-    /// (the usual end-game), candidates are ranked by ss_reduction: carving
-    /// the biggest strata equalizes the published G-weights, which
-    /// maximizes the effective sample size of the Phase-3 output.
-    int64_t max_affected_group = 0;
+    /// Reduction in the sum of squared group sizes the split would
+    /// achieve. Once information gain is exhausted (the usual end-game),
+    /// the balance-aware score ranks candidates by it: carving the biggest
+    /// strata equalizes the published G-weights, which maximizes the
+    /// effective sample size of the Phase-3 output.
     double ss_reduction = 0.0;
     double gain_per_row = 0.0;
     int taxonomy_node = -1;  ///< >=0: specialize by this node's children.
@@ -139,13 +119,8 @@ class TopDownSpecializer {
   /// Returns a reference into segment_groups_ valid until the next Apply.
   const std::vector<int32_t>& GroupsOfSegment(int attr_idx, int32_t lo);
 
-  /// (Re)computes a candidate's validity/score. Dispatches to
-  /// EvaluateColumnar when the columnar engine is active.
+  /// (Re)computes a candidate's validity/score.
   void Evaluate(int attr_idx, int32_t lo, Candidate* cand);
-
-  /// Columnar mirror of Evaluate: identical candidate math over the
-  /// weighted view, with all per-candidate buffers arena-backed.
-  void EvaluateColumnar(int attr_idx, int32_t lo, Candidate* cand);
 
   /// Applies a winning candidate; updates recoding, groups, and dirt.
   void Apply(int attr_idx, int32_t lo, const Candidate& cand);
@@ -154,24 +129,7 @@ class TopDownSpecializer {
   std::vector<Interval> ChildIntervals(int attr_idx, const Interval& s,
                                        const Candidate& cand) const;
 
-  bool ConstraintOk(const std::vector<int64_t>& hist) const;
-
   int64_t GlobalMinGroupSize() const;
-
-  /// QI code of group item `item` on QI attribute `attr_idx` — a table
-  /// lookup row-wise, a weighted-view lookup columnar.
-  int32_t QiCodeOf(uint32_t item, int attr_idx) const {
-    return columnar_ ? wcodes_[attr_idx][item]
-                     : table_.value(item, qi_attrs_[attr_idx]);
-  }
-
-  /// Table rows behind group item `item` (1 row-wise).
-  int64_t ItemWeight(uint32_t item) const {
-    return columnar_ ? wweight_[item] : 1;
-  }
-
-  /// Collapses the table to distinct (QI tuple, class) weighted rows.
-  void BuildWeightedView();
 
   const Table& table_;
   std::vector<int> qi_attrs_;
@@ -188,18 +146,6 @@ class TopDownSpecializer {
   std::unordered_map<uint64_t, Candidate> candidates_;
   int64_t global_min_cache_ = 0;
   int num_specializations_ = 0;
-
-  /// Columnar engine state (set up by Run() when the resolved impl is
-  /// columnar and no constraint is present). The weighted view is the
-  /// base frequency set refined by class label: wcodes_[a][w] is the QI
-  /// code of weighted row w on attribute a, wclass_[w] its class label,
-  /// wweight_[w] how many table rows it stands for.
-  bool columnar_ = false;
-  std::vector<std::vector<int32_t>> wcodes_;
-  std::vector<int32_t> wclass_;
-  std::vector<int64_t> wweight_;
-  columnar::ScratchPool* scratch_ = nullptr;
-  std::unique_ptr<columnar::ScratchPool> owned_scratch_;
 };
 
 }  // namespace pgpub

@@ -52,7 +52,6 @@
 
 // Attack harness and scenario framework.
 #include "attack/adversaries.h"
-#include "attack/breach_harness.h"
 #include "attack/external_db.h"
 #include "attack/linking_attack.h"
 #include "attack/publishers.h"

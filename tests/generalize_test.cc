@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/random.h"
 #include "diversity/ldiversity.h"
@@ -198,6 +201,78 @@ TEST(TdsTest, DynamicBinarySplitsWithoutTaxonomy) {
   GlobalRecoding rec = tds.Run().ValueOrDie();
   EXPECT_TRUE(IsKAnonymous(GroupsOf(f, rec), 5));
   EXPECT_GT(tds.num_specializations(), 0);
+}
+
+TEST(TdsTest, ClassicScoringRanksBinarySplitsByClassicScore) {
+  // Under balance_aware=false a binary split must be ranked by the classic
+  // InfoGain/(AnonyLoss+1) score alone. The table is built so the first
+  // valid cut carries a large balance bonus but almost no gain; a later
+  // cut has the best classic score and must win.
+  Schema schema;
+  schema.AddAttribute(
+      {"A", AttributeType::kNumeric, AttributeRole::kQuasiIdentifier});
+  // Per code of A: rows of class 0, rows of class 1.
+  const int32_t per_code[4][2] = {{4, 4}, {4, 6}, {4, 2}, {3, 4}};
+  std::vector<std::vector<int32_t>> cols(1);
+  std::vector<int32_t> labels;
+  for (int32_t code = 0; code < 4; ++code) {
+    for (int32_t cls = 0; cls < 2; ++cls) {
+      for (int32_t i = 0; i < per_code[code][cls]; ++i) {
+        cols[0].push_back(code);
+        labels.push_back(cls);
+      }
+    }
+  }
+  Table t = Table::Create(schema, {AttributeDomain::Numeric(0, 3)},
+                          std::move(cols))
+                .ValueOrDie();
+  const int k = 2;
+
+  // Naive ranking: every cut of the root segment, scored from scratch.
+  // At the root the global minimum group size is n.
+  auto entropy_rows = [](double c0, double c1) {
+    double h = 0.0;
+    for (double c : {c0, c1}) {
+      if (c > 0.0) h -= c * std::log2(c / (c0 + c1));
+    }
+    return h;
+  };
+  const double n = static_cast<double>(labels.size());
+  double total[2] = {0.0, 0.0};
+  for (const auto& code : per_code) {
+    total[0] += code[0];
+    total[1] += code[1];
+  }
+  int32_t first_valid_cut = -1;
+  int32_t best_cut = -1;
+  double best_score = -1.0;
+  double left[2] = {0.0, 0.0};
+  for (int32_t cut = 1; cut < 4; ++cut) {  // right part starts at `cut`
+    left[0] += per_code[cut - 1][0];
+    left[1] += per_code[cut - 1][1];
+    const double nl = left[0] + left[1];
+    const double nr = n - nl;
+    if (nl < k || nr < k) continue;
+    if (first_valid_cut < 0) first_valid_cut = cut;
+    const double gain = entropy_rows(total[0], total[1]) -
+                        entropy_rows(left[0], left[1]) -
+                        entropy_rows(total[0] - left[0], total[1] - left[1]);
+    const double score = gain / (n - std::min(nl, nr) + 1.0);
+    if (score > best_score) {
+      best_score = score;
+      best_cut = cut;
+    }
+  }
+  ASSERT_NE(best_cut, first_valid_cut) << "table no longer discriminates";
+
+  TdsOptions opt;
+  opt.k = k;
+  opt.balance_aware = false;
+  opt.max_specializations = 1;
+  TopDownSpecializer tds(t, {0}, {nullptr}, labels, 2, opt);
+  GlobalRecoding rec = tds.Run().ValueOrDie();
+  ASSERT_EQ(tds.num_specializations(), 1);
+  EXPECT_EQ(rec.per_attr[0].starts(), (std::vector<int32_t>{0, best_cut}));
 }
 
 TEST(TdsTest, MixedTaxonomyAndDynamic) {
