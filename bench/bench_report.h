@@ -125,8 +125,6 @@ inline std::string TraceFromArgs(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--trace=", 0) == 0) path = arg.substr(8);
   }
-  // Tracer::Enable returns void; the linter conflates it with the
-  // Status-returning Failpoint::Enable by name. pgpub-lint: allow(L1)
   if (!path.empty()) obs::Tracer::Global().Enable();
   return path;
 }

@@ -1,8 +1,8 @@
 /// \file sal_full.cc
 /// The full-scale Section VII reproduction in one artifact: cold-publishes
-/// the 700k-row SAL table end-to-end through the columnar Phase-2 engine
-/// and emits Table III (closed-form guarantees) plus Figures 2–3 (utility
-/// vs k and vs p) as one schema-v1 bench JSON with a tracked
+/// the 700k-row SAL table end-to-end (TDS Phase 2) and emits Table III
+/// (closed-form guarantees) plus Figures 2–3 (utility vs k and vs p) as
+/// one schema-v1 bench JSON with a tracked
 /// publications/sec metric. The committed smoke baseline
 /// (bench/baselines/BENCH_sal_full.json) runs the same harness at
 /// PGPUB_SAL_ROWS=20000 so bench_diff can gate regressions in CI without
@@ -14,8 +14,6 @@
 ///   PGPUB_SAL_RUNS    seeds per figure point (default 1; figures average
 ///                     the per-point median like fig2/fig3 do)
 ///   PGPUB_SAL_THREADS worker threads (0 = environment default)
-///   PGPUB_SAL_ORACLE  1 = rerun the cold publication on the row-wise
-///                     oracle engine and require byte equality (slow)
 ///   PGPUB_SAL_FIGS    0 = skip the Figure 2–3 sweeps (cold-path timing
 ///                     only; default 1)
 
@@ -60,7 +58,6 @@ using bench::RowSampleDigest;
 int Main() {
   const size_t rows = EnvSize("PGPUB_SAL_ROWS", 700000);
   const int threads = static_cast<int>(EnvSize("PGPUB_SAL_THREADS", 0));
-  const bool oracle = EnvSize("PGPUB_SAL_ORACLE", 0) != 0;
   const bool figures = EnvSize("PGPUB_SAL_FIGS", 1) != 0;
   const int runs = static_cast<int>(EnvSize("PGPUB_SAL_RUNS", 1));
   // AveragedUtilityPoint reads SAL_RUNS; forward our knob unless the
@@ -73,7 +70,6 @@ int Main() {
   report.SetParam("rows", static_cast<uint64_t>(rows));
   report.SetParam("threads", static_cast<uint64_t>(threads));
   report.SetParam("runs", static_cast<uint64_t>(runs));
-  report.SetParam("oracle_leg", oracle);
   report.SetParam("figures", figures);
   report.SetParam("hardware_threads",
                   static_cast<uint64_t>(ThreadPool::DefaultNumThreads()));
@@ -98,20 +94,12 @@ int Main() {
 
   const std::vector<const Taxonomy*> taxonomies = sal.TaxonomyPointers();
 
-  // ---- Cold end-to-end publication (columnar Phase 2, no caches).
-  auto cold_publish = [&](columnar::Phase2Impl impl, uint64_t* wall_ns) {
-    PgOptions options = bench::SalColdPublishOptions(threads);
-    options.phase2_impl = impl;
-    const uint64_t t0 = NowNs();
-    PublishedTable table =
-        RobustPublisher(options).Publish(sal.table, taxonomies).ValueOrDie();
-    *wall_ns = NowNs() - t0;
-    return table;
-  };
-
-  uint64_t cold_ns = 0;
-  const PublishedTable cold = cold_publish(columnar::Phase2Impl::kColumnar,
-                                           &cold_ns);
+  // ---- Cold end-to-end publication (no caches).
+  const PgOptions cold_options = bench::SalColdPublishOptions(threads);
+  const uint64_t cold_t0 = NowNs();
+  const PublishedTable cold =
+      RobustPublisher(cold_options).Publish(sal.table, taxonomies).ValueOrDie();
+  const uint64_t cold_ns = NowNs() - cold_t0;
   const uint64_t cold_digest = PublicationDigest(cold);
   {
     obs::JsonValue row = obs::JsonValue::Object();
@@ -129,30 +117,6 @@ int Main() {
                "sal_full: cold publication %.2f s (%.4f pub/s)  digest=%s\n",
                cold_ns / 1e9, 1e9 / static_cast<double>(cold_ns),
                Hex(cold_digest).c_str());
-
-  if (oracle) {
-    uint64_t oracle_ns = 0;
-    const PublishedTable rowwise =
-        cold_publish(columnar::Phase2Impl::kRowwise, &oracle_ns);
-    const uint64_t oracle_digest = PublicationDigest(rowwise);
-    obs::JsonValue row = obs::JsonValue::Object();
-    row.Set("leg", "oracle_publish");
-    row.Set("phase2", "rowwise");
-    row.Set("wall_ns", oracle_ns);
-    row.Set("publications_per_sec", 1e9 / static_cast<double>(oracle_ns));
-    row.Set("publication_digest", Hex(oracle_digest));
-    row.Set("matches_columnar", oracle_digest == cold_digest);
-    report.AddResult(std::move(row));
-    std::fprintf(stderr, "sal_full: row-wise oracle %.2f s  digest=%s  %s\n",
-                 oracle_ns / 1e9, Hex(oracle_digest).c_str(),
-                 oracle_digest == cold_digest ? "MATCH" : "MISMATCH");
-    if (oracle_digest != cold_digest) {
-      std::fprintf(stderr,
-                   "sal_full: columnar diverged from the row-wise oracle — "
-                   "refusing to report timings for a wrong answer\n");
-      return 1;
-    }
-  }
 
   // ---- Table III: the closed-form guarantees (lambda=0.1, rho1=0.2,
   // |U^s|=50), same grid as bench/table3_guarantees.

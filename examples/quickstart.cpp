@@ -37,8 +37,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // Tracer::Enable returns void; the linter conflates it with the
-  // Status-returning Failpoint::Enable by name. pgpub-lint: allow(L1)
   if (!trace_path.empty()) obs::Tracer::Global().Enable();
 
   // Examples narrate their run by default; an explicit PGPUB_LOG wins.

@@ -99,8 +99,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   // Idempotent and cheap when already running; calling it unconditionally
   // keeps Submit's own critical section a single straight-line scope,
   // which is all the static analysis can certify.
-  // ThreadPool::Start returns void; the name merely collides with
-  // the server's Status-returning Start. pgpub-lint: allow(L1)
   Start();
   {
     MutexLock lock(&mu_);
@@ -215,8 +213,6 @@ Status ParallelFor(ThreadPool* pool, IndexRange range, size_t grain,
 
   const size_t helpers = std::min<size_t>(
       static_cast<size_t>(pool->num_threads()), num_chunks - 1);
-  // ThreadPool::Submit returns void; the name merely collides with
-  // the server's Status-returning Submit. pgpub-lint: allow(L1)
   for (size_t i = 0; i < helpers; ++i) pool->Submit(runner);
   runner();  // the caller participates — a busy pool delays, never deadlocks
 

@@ -278,9 +278,7 @@ Result<PublishedTable> PgPublisher::Publish(
       IncognitoOptions inc_options;
       inc_options.k = k;
       inc_options.pool = pool;
-      inc_options.phase2 = columnar::ResolvePhase2Impl(options_.phase2_impl);
-      if (hooks != nullptr &&
-          inc_options.phase2 == columnar::Phase2Impl::kColumnar) {
+      if (hooks != nullptr) {
         inc_options.qi_index = hooks->qi_index();
         inc_options.scratch = hooks->scratch_pool();
       }

@@ -62,11 +62,7 @@ struct PgOptions {
   /// wall-clock only (see DESIGN.md §9).
   int num_threads = 0;
 
-  /// Incognito's Phase-2 engine (DESIGN.md §15); TDS has one engine and
-  /// ignores it. kAuto resolves `PGPUB_PHASE2` (`rowwise` selects the
-  /// oracle path; default columnar). Like num_threads, this knob trades
-  /// wall-clock only: both engines produce byte-identical publications,
-  /// which is why it stays out of the engine's recoding-cache identity.
+  /// Ignored; kept so the frozen perfbench driver compiles.
   columnar::Phase2Impl phase2_impl = columnar::Phase2Impl::kAuto;
 
   /// The one home of every option-bundle rule (the checks used to be

@@ -72,14 +72,14 @@ class PublishHooks {
 
   /// Prebuilt columnar QI index over the bound dataset's QI columns
   /// (perturbation never touches those, so one index serves every
-  /// request). Null means "build per publish when needed". Consulted only
-  /// by Incognito's columnar engine; the returned index must outlive the
-  /// publish call.
+  /// request). Null means "Incognito builds one per publish". Consulted
+  /// only by Incognito (TDS scans rows); the returned index must outlive
+  /// the publish call.
   virtual const columnar::QiIndex* qi_index() { return nullptr; }
 
-  /// Shared scratch pool for Incognito's columnar engine, letting warmed
-  /// scratch survive across requests (no steady-state growth). Null
-  /// means "the search owns a private pool per publish".
+  /// Shared scratch pool for Incognito's lattice-node counters, letting
+  /// warmed scratch survive across requests (no steady-state growth).
+  /// Null means "the search owns a private pool per publish".
   virtual columnar::ScratchPool* scratch_pool() { return nullptr; }
 
   /// Deadline-budget checkpoint. PgPublisher calls this between phases

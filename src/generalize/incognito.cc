@@ -70,32 +70,22 @@ Result<GlobalRecoding> IncognitoSearch(
     }
   }
 
-  // Columnar engine (DESIGN.md §15): build the base frequency set and the
-  // per-(attr, depth) remap tables once; every node check below is then a
-  // fold over distinct tuples instead of a rescan of rows. The verdict
-  // per node is identical to the row-wise groups computation, so the BFS
-  // walk, counters, and chosen node do not depend on the engine.
-  const bool use_columnar = columnar::ResolvePhase2Impl(options.phase2) ==
-                            columnar::Phase2Impl::kColumnar;
+  // Build the base frequency set and the per-(attr, depth) remap tables
+  // once (DESIGN.md §15); every node check below is then a fold over
+  // distinct tuples instead of a rescan of rows.
   std::unique_ptr<columnar::QiIndex> owned_index;
-  const columnar::QiIndex* index = nullptr;
-  std::unique_ptr<columnar::LatticeCounter> counter;
+  const columnar::QiIndex* index = options.qi_index;
+  if (index == nullptr || index->qi_attrs() != qi_attrs) {
+    owned_index = std::make_unique<columnar::QiIndex>(
+        columnar::QiIndex::Build(table, qi_attrs));
+    index = owned_index.get();
+  }
+  const columnar::LatticeCounter counter(index, taxonomies);
   std::unique_ptr<columnar::ScratchPool> owned_scratch;
-  columnar::ScratchPool* scratch = nullptr;
-  if (use_columnar) {
-    index = options.qi_index;
-    if (index == nullptr || index->qi_attrs() != qi_attrs) {
-      owned_index =
-          std::make_unique<columnar::QiIndex>(columnar::QiIndex::Build(
-              table, qi_attrs));
-      index = owned_index.get();
-    }
-    counter = std::make_unique<columnar::LatticeCounter>(index, taxonomies);
-    scratch = options.scratch;
-    if (scratch == nullptr) {
-      owned_scratch = std::make_unique<columnar::ScratchPool>();
-      scratch = owned_scratch.get();
-    }
+  columnar::ScratchPool* scratch = options.scratch;
+  if (scratch == nullptr) {
+    owned_scratch = std::make_unique<columnar::ScratchPool>();
+    scratch = owned_scratch.get();
   }
 
   // Memoized k-anonymity per lattice node. The anonymity of a node is a
@@ -104,13 +94,8 @@ Result<GlobalRecoding> IncognitoSearch(
   // changing any answer.
   std::map<std::vector<int>, bool> anon_memo;
   auto check_anonymous = [&](const std::vector<int>& depths) -> bool {
-    if (use_columnar) {
-      columnar::ScratchPool::Lease lease = scratch->Acquire();
-      return counter->IsKAnonymousAtDepths(depths, options.k, lease.get());
-    }
-    GlobalRecoding rec = RecodingAtDepths(qi_attrs, taxonomies, depths);
-    QiGroups groups = ComputeQiGroups(table, rec);
-    return IsKAnonymous(groups, options.k);
+    columnar::ScratchPool::Lease lease = scratch->Acquire();
+    return counter.IsKAnonymousAtDepths(depths, options.k, lease.get());
   };
 
   // BFS from the root (all depths 0 = most general). A node is *minimal*

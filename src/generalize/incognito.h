@@ -25,20 +25,16 @@ struct IncognitoOptions {
   /// chosen node is bit-identical at every thread count.
   ThreadPool* pool = nullptr;
 
-  /// Phase-2 engine selection (DESIGN.md §15). Columnar answers every
-  /// lattice node's k-anonymity check by folding the base frequency set
-  /// (distinct raw QI tuples + counts) through per-(attr, depth) code
-  /// remaps into a radix group counter, instead of rescanning rows into a
-  /// hash map. The boolean verdict per node — and therefore the walk,
-  /// the counters, and the chosen recoding — is identical to row-wise.
+  /// Ignored; kept so the frozen perfbench driver compiles.
   columnar::Phase2Impl phase2 = columnar::Phase2Impl::kAuto;
 
   /// Optional prebuilt QI index over (table, qi_attrs), typically shared
-  /// by a PublicationEngine. Null = build one per search (columnar only).
+  /// by a PublicationEngine. Null (or an index over other attributes) =
+  /// build one per search.
   const columnar::QiIndex* qi_index = nullptr;
 
-  /// Optional shared scratch pool for the per-check counters. Null = the
-  /// search owns a private pool (columnar only).
+  /// Optional shared scratch pool for the per-node counters. Null = the
+  /// search owns a private pool.
   columnar::ScratchPool* scratch = nullptr;
 };
 
@@ -51,6 +47,10 @@ struct IncognitoOptions {
 /// general node) to explore the lattice top-down, and returns the
 /// k-anonymous node with the lowest NCP among the *minimal* k-anonymous
 /// nodes (those none of whose specializations are k-anonymous).
+///
+/// Each node's k-anonymity verdict comes from one columnar::LatticeCounter
+/// fold over the table's distinct QI tuples (DESIGN.md §15); the naive
+/// row-wise verdict is the test oracle in tests/phase2_equivalence_test.cc.
 ///
 /// Suited to few QI attributes with shallow hierarchies; the paper's SAL
 /// pipeline uses TDS instead (both satisfy G1–G3).

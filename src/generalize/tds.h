@@ -48,10 +48,10 @@ struct TdsOptions {
   /// bit-identical at every thread count.
   ThreadPool* pool = nullptr;
 
-  /// Ignored: TDS has one engine; kept because perfbench/driver.cc sets it.
+  /// Ignored; kept so the frozen perfbench driver compiles.
   columnar::Phase2Impl phase2 = columnar::Phase2Impl::kAuto;
 
-  /// Ignored: TDS has one engine; kept because perfbench/driver.cc sets it.
+  /// Ignored; kept so the frozen perfbench driver compiles.
   const columnar::QiIndex* qi_index = nullptr;
 };
 

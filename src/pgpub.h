@@ -14,8 +14,7 @@
 ///     taxonomy and recoding (de)serialization, PublishReport JSON.
 ///   - Attack side: the scenario framework (Publisher × AdversaryModel ×
 ///     dataset via BreachScenario, with rival-guarantee publishers and the
-///     transparent adversary), linking attack, external database, and the
-///     deprecated breach-harness wrappers.
+///     transparent adversary), linking attack and external database.
 ///   - Evaluation: synthetic datasets (census/SAL/hospital/clinic),
 ///     decision-tree/naive-Bayes mining, ℓ-diversity baseline,
 ///     m-invariance republication, query accuracy.

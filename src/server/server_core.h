@@ -82,7 +82,7 @@ struct ServerResponse {
   size_t rows = 0;
   double retention_p = 0.0;
   int k = 0;
-  double queue_ms = 0.0;    ///< Admission -> dispatch.
+  double queue_ms = 0.0;    ///< Admission -> reply, includes publish_ms.
   double publish_ms = 0.0;  ///< Engine time (0 for swept requests).
 };
 

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "diversity/ldiversity.h"
-#include "diversity/tcloseness.h"
 
 namespace pgpub {
 namespace {
@@ -102,50 +101,6 @@ TEST(MinDistinctSensitiveTest, ComputesGroupMinimum) {
   GlobalRecoding rec = GlobalRecoding::AllIdentity(t, {0});
   QiGroups g = ComputeQiGroups(t, rec);
   EXPECT_EQ(MinDistinctSensitive(t, g, 1), 1);
-}
-
-// ------------------------------------------------------------ TCloseness
-
-TEST(TClosenessTest, EmdOrderedMatchesManual) {
-  // a = (1,0,0), b = (0,0,1) over 3 ordered values: EMD = (1+1)/2 = 1.
-  EXPECT_NEAR(TCloseness::Emd({1, 0, 0}, {0, 0, 1},
-                              TCloseness::Ground::kOrdered),
-              1.0, 1e-12);
-  // Adjacent shift: (1,0) -> (0,1): EMD = 1/(2-1) * 1 = 1.
-  EXPECT_NEAR(TCloseness::Emd({1, 0}, {0, 1},
-                              TCloseness::Ground::kOrdered),
-              1.0, 1e-12);
-  // Same distribution: 0.
-  EXPECT_NEAR(TCloseness::Emd({2, 2}, {5, 5},
-                              TCloseness::Ground::kOrdered),
-              0.0, 1e-12);
-}
-
-TEST(TClosenessTest, EmdEqualGroundIsTotalVariation) {
-  EXPECT_NEAR(TCloseness::Emd({1, 0, 0}, {0, 0, 1},
-                              TCloseness::Ground::kEqual),
-              1.0, 1e-12);
-  EXPECT_NEAR(TCloseness::Emd({1, 1, 0}, {0, 1, 1},
-                              TCloseness::Ground::kEqual),
-              0.5, 1e-12);
-}
-
-TEST(TClosenessTest, EmdSymmetry) {
-  std::vector<int64_t> a = {3, 1, 4, 1}, b = {2, 2, 2, 4};
-  for (auto ground :
-       {TCloseness::Ground::kOrdered, TCloseness::Ground::kEqual}) {
-    EXPECT_NEAR(TCloseness::Emd(a, b, ground), TCloseness::Emd(b, a, ground),
-                1e-12);
-  }
-}
-
-TEST(TClosenessTest, SatisfiedNearGlobal) {
-  std::vector<int64_t> global = {50, 30, 20};
-  TCloseness tc(0.1, global, TCloseness::Ground::kOrdered);
-  EXPECT_TRUE(tc.Satisfied({5, 3, 2}));          // identical shape
-  EXPECT_FALSE(tc.Satisfied({10, 0, 0}));        // skewed to one end
-  EXPECT_TRUE(tc.Satisfied({0, 0, 0}));          // empty group: vacuous
-  EXPECT_EQ(tc.name(), "0.1-closeness");
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/columnar/phase2.h"
 #include "core/publish_hooks.h"
 #include "core/report_io.h"
 #include "core/robust_publisher.h"
@@ -340,50 +339,6 @@ TEST(CachePoisoningTest, CollidedRecodingFailsClosed) {
       census.table, census.TaxonomyPointers(), &hooks);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInternal()) << result.status().ToString();
-}
-
-/// The cache-key audit companion (see KeyOf in publication_engine.cc):
-/// RecodingKey deliberately excludes PgOptions::phase2_impl, because both
-/// Phase-2 engines are byte-identical. A recoding computed by the columnar
-/// engine must therefore be *hit* — and safely served — by a row-wise
-/// request, and the bytes must match a cold row-wise publication. If the
-/// engines ever diverged, this sharing would be cache poisoning; the
-/// differential suite (tests/phase2_equivalence_test.cc) plus the
-/// fail-closed re-check above are what make it sound.
-TEST(CachePoisoningTest, CrossImplSharingIsAHitAndByteIdentical) {
-  CensusDataset census = GenerateCensus(1000, 5).ValueOrDie();
-  auto engine =
-      PublicationEngine::Create(census.table, census.taxonomies).ValueOrDie();
-
-  PublishRequest request;
-  request.options.k = 6;
-  request.options.p = 0.3;
-  request.options.seed = 42;
-
-  // Cold publication under the columnar engine populates the cache.
-  request.options.phase2_impl = columnar::Phase2Impl::kColumnar;
-  PublishReport cold_report;
-  const PublishedTable cold =
-      engine->Publish(request, &cold_report).ValueOrDie();
-  EXPECT_EQ(engine->recoding_cache_stats().hits, 0u);
-
-  // The same query under the row-wise engine shares the cached recoding.
-  request.options.phase2_impl = columnar::Phase2Impl::kRowwise;
-  PublishReport warm_report;
-  const PublishedTable warm =
-      engine->Publish(request, &warm_report).ValueOrDie();
-  EXPECT_EQ(engine->recoding_cache_stats().hits, 1u)
-      << "phase2_impl must not partition the recoding cache";
-  EXPECT_EQ(Flatten(cold), Flatten(warm));
-  EXPECT_EQ(NormalizedReportJson(cold_report),
-            NormalizedReportJson(warm_report));
-
-  // And the shared entry serves the row-wise identity: a fresh engine
-  // publishing cold under row-wise produces the same bytes.
-  auto fresh =
-      PublicationEngine::Create(census.table, census.taxonomies).ValueOrDie();
-  const PublishedTable rowwise_cold = fresh->Publish(request).ValueOrDie();
-  EXPECT_EQ(Flatten(warm), Flatten(rowwise_cold));
 }
 
 // ------------------------------------------------------------ batching

@@ -1,17 +1,17 @@
-/// The differential proof behind DESIGN.md §15: for every dataset ×
-/// generalizer × thread count, the published table, the timing-normalized
+/// The equivalence proof behind DESIGN.md §15. Phase 2 has one engine
+/// per generalizer, so the grid here is thread counts: for every dataset
+/// x generalizer, the published table, the timing-normalized
 /// PublishReport JSON, and the Phase-2 search counters are byte-identical
-/// under either Phase-2 engine selection (row-wise oracle or columnar
-/// default). Incognito has two engines; TDS has one, so for it the grid
-/// pins thread-count and selector invariance. A seeded property test
-/// additionally pins the columnar LatticeCounter to the naive hash-map
-/// verdict on random tables, and an allocation-counter test pins the
+/// serial and on 8 workers. Incognito's oracle is the naive row-wise
+/// verdict IsKAnonymous(ComputeQiGroups(t, RecodingAtDepths(...)), k):
+/// it is held against the LatticeCounter on every node of two real
+/// lattices and on seeded random tables, and a pinned digest fixes the
+/// census Incognito release. An allocation-counter test pins the
 /// scratch-pool reuse contract of Incognito's engine.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <utility>
@@ -19,13 +19,13 @@
 
 #include "common/random.h"
 #include "core/columnar/arena.h"
-#include "core/columnar/phase2.h"
 #include "core/columnar/qi_index.h"
 #include "core/report_io.h"
 #include "core/robust_publisher.h"
 #include "datagen/census.h"
 #include "datagen/clinic.h"
 #include "datagen/hospital.h"
+#include "engine/fingerprint.h"
 #include "generalize/incognito.h"
 #include "generalize/metrics.h"
 #include "generalize/qi_groups.h"
@@ -37,9 +37,7 @@
 namespace pgpub {
 namespace {
 
-using columnar::Phase2Impl;
-
-/// Search-relevant counters: the engines must agree not only on the
+/// Search-relevant counters: thread counts must agree not only on the
 /// published bytes but on how much work the search reported doing (same
 /// specialization count, same lattice walk).
 std::map<std::string, uint64_t> SearchCounters() {
@@ -67,7 +65,7 @@ std::map<std::string, uint64_t> CounterDelta(
   return delta;
 }
 
-/// One full RobustPublisher run under a pinned Phase-2 engine.
+/// One full RobustPublisher run at a pinned thread count.
 struct RunOutput {
   PublishedTable table;
   std::string report_json;  ///< Timing-normalized.
@@ -83,15 +81,11 @@ void NormalizeTimings(PublishReport* report) {
   }
 }
 
-std::string Label(Phase2Impl impl, int threads) {
-  return std::string(columnar::Phase2ImplName(impl)) + "/t" +
-         std::to_string(threads);
-}
+std::string Label(int threads) { return "t" + std::to_string(threads); }
 
 RunOutput PublishWith(const Table& microdata,
                       const std::vector<const Taxonomy*>& taxonomies,
-                      PgOptions options, Phase2Impl impl, int threads) {
-  options.phase2_impl = impl;
+                      PgOptions options, int threads) {
   options.num_threads = threads;
   const std::map<std::string, uint64_t> before = SearchCounters();
   RobustPublisher publisher(options);
@@ -99,7 +93,7 @@ RunOutput PublishWith(const Table& microdata,
   Result<PublishedTable> published =
       publisher.Publish(microdata, taxonomies, &report);
   EXPECT_TRUE(published.ok())
-      << Label(impl, threads) << ": " << published.status().message();
+      << Label(threads) << ": " << published.status().message();
   NormalizeTimings(&report);
   return RunOutput{std::move(*published), PublishReportToJsonString(report),
                    CounterDelta(before, SearchCounters())};
@@ -107,9 +101,9 @@ RunOutput PublishWith(const Table& microdata,
 
 /// Byte-level equality of everything a release publishes, plus the
 /// search-counter deltas both runs recorded.
-void ExpectIdenticalRelease(const RunOutput& oracle, const RunOutput& other,
+void ExpectIdenticalRelease(const RunOutput& serial, const RunOutput& other,
                             const std::string& label) {
-  const PublishedTable& a = oracle.table;
+  const PublishedTable& a = serial.table;
   const PublishedTable& b = other.table;
   ASSERT_EQ(a.num_rows(), b.num_rows()) << label;
   ASSERT_EQ(a.num_qi_attrs(), b.num_qi_attrs()) << label;
@@ -123,59 +117,30 @@ void ExpectIdenticalRelease(const RunOutput& oracle, const RunOutput& other,
           << "row " << r << " attr " << i << " " << label;
     }
   }
-  EXPECT_EQ(oracle.report_json, other.report_json) << label;
-  EXPECT_EQ(oracle.counters, other.counters) << label;
+  EXPECT_EQ(serial.report_json, other.report_json) << label;
+  EXPECT_EQ(serial.counters, other.counters) << label;
 }
 
-/// The full differential grid: row-wise serial is the oracle; row-wise
-/// threaded and columnar at both thread counts must reproduce it exactly.
-void CheckImplEquivalence(const Table& microdata,
-                          const std::vector<const Taxonomy*>& taxonomies,
-                          const PgOptions& options) {
-  const RunOutput oracle =
-      PublishWith(microdata, taxonomies, options, Phase2Impl::kRowwise, 1);
-  for (Phase2Impl impl : {Phase2Impl::kRowwise, Phase2Impl::kColumnar}) {
-    for (int threads : {1, 8}) {
-      if (impl == Phase2Impl::kRowwise && threads == 1) continue;
-      const RunOutput run =
-          PublishWith(microdata, taxonomies, options, impl, threads);
-      ExpectIdenticalRelease(oracle, run, Label(impl, threads));
-    }
-  }
+/// The thread-count grid: the serial release is the reference; 8 workers
+/// must reproduce it exactly.
+void CheckThreadInvariance(const Table& microdata,
+                           const std::vector<const Taxonomy*>& taxonomies,
+                           const PgOptions& options) {
+  const RunOutput serial = PublishWith(microdata, taxonomies, options, 1);
+  const RunOutput parallel = PublishWith(microdata, taxonomies, options, 8);
+  ExpectIdenticalRelease(serial, parallel, Label(8));
 }
 
-TEST(Phase2EquivalenceTest, CensusTdsAcrossImplsAndThreadCounts) {
-  CensusDataset census = GenerateCensus(3000, 11).ValueOrDie();
-  for (uint64_t seed : {42u, 1337u}) {
-    PgOptions options;
-    options.k = 8;
-    options.p = 0.3;
-    options.seed = seed;
-    CheckImplEquivalence(census.table, census.TaxonomyPointers(), options);
-  }
-}
+/// The census table cut down to Age and Gender (QI) plus Income, so the
+/// full-domain lattice stays small — the same construction as the
+/// publisher Incognito test.
+struct NarrowCensus {
+  CensusDataset census;
+  Table table;
+  std::vector<const Taxonomy*> taxonomies;
+};
 
-TEST(Phase2EquivalenceTest, ClinicTdsAcrossImplsAndThreadCounts) {
-  CensusDataset clinic = GenerateClinic(1200, 12).ValueOrDie();
-  PgOptions options;
-  options.k = 5;
-  options.p = 0.4;
-  options.seed = 42;
-  CheckImplEquivalence(clinic.table, clinic.TaxonomyPointers(), options);
-}
-
-TEST(Phase2EquivalenceTest, HospitalRunningExampleAcrossImpls) {
-  HospitalDataset hospital = MakeHospitalDataset().ValueOrDie();
-  PgOptions options;
-  options.s = 0.5;
-  options.p = 0.25;
-  options.seed = 42;
-  CheckImplEquivalence(hospital.table, hospital.TaxonomyPointers(), options);
-}
-
-TEST(Phase2EquivalenceTest, CensusIncognitoAcrossImplsAndThreadCounts) {
-  // Narrow 3-attribute schema so the full-domain lattice stays small —
-  // the same construction as the publisher Incognito test.
+NarrowCensus MakeNarrowCensus() {
   CensusDataset census = GenerateCensus(3000, 13).ValueOrDie();
   Schema schema;
   schema.AddAttribute(
@@ -193,22 +158,75 @@ TEST(Phase2EquivalenceTest, CensusIncognitoAcrossImplsAndThreadCounts) {
       census.table.column(CensusColumns::kGender),
       census.table.column(CensusColumns::kIncome)};
   Table narrow = Table::Create(schema, domains, std::move(cols)).ValueOrDie();
-  const std::vector<const Taxonomy*> taxonomies = {
-      &census.taxonomies[CensusColumns::kAge],
-      &census.taxonomies[CensusColumns::kGender]};
+  NarrowCensus out{std::move(census), std::move(narrow), {}};
+  // The pointers target census.taxonomies' heap buffer, which stays put
+  // when `out` is moved.
+  out.taxonomies = {&out.census.taxonomies[CensusColumns::kAge],
+                    &out.census.taxonomies[CensusColumns::kGender]};
+  return out;
+}
 
+PgOptions NarrowCensusIncognitoOptions() {
   PgOptions options;
   options.k = 10;
   options.p = 0.3;
   options.seed = 42;
   options.generalizer = PgOptions::Generalizer::kIncognito;
-  CheckImplEquivalence(narrow, taxonomies, options);
+  return options;
+}
+
+TEST(Phase2EquivalenceTest, CensusTdsAcrossImplsAndThreadCounts) {
+  CensusDataset census = GenerateCensus(3000, 11).ValueOrDie();
+  for (uint64_t seed : {42u, 1337u}) {
+    PgOptions options;
+    options.k = 8;
+    options.p = 0.3;
+    options.seed = seed;
+    CheckThreadInvariance(census.table, census.TaxonomyPointers(), options);
+  }
+}
+
+TEST(Phase2EquivalenceTest, ClinicTdsAcrossImplsAndThreadCounts) {
+  CensusDataset clinic = GenerateClinic(1200, 12).ValueOrDie();
+  PgOptions options;
+  options.k = 5;
+  options.p = 0.4;
+  options.seed = 42;
+  CheckThreadInvariance(clinic.table, clinic.TaxonomyPointers(), options);
+}
+
+TEST(Phase2EquivalenceTest, HospitalRunningExampleAcrossImpls) {
+  HospitalDataset hospital = MakeHospitalDataset().ValueOrDie();
+  PgOptions options;
+  options.s = 0.5;
+  options.p = 0.25;
+  options.seed = 42;
+  CheckThreadInvariance(hospital.table, hospital.TaxonomyPointers(), options);
+}
+
+TEST(Phase2EquivalenceTest, CensusIncognitoAcrossImplsAndThreadCounts) {
+  const NarrowCensus narrow = MakeNarrowCensus();
+  CheckThreadInvariance(narrow.table, narrow.taxonomies,
+                        NarrowCensusIncognitoOptions());
+}
+
+TEST(Phase2EquivalenceTest, CensusIncognitoReleaseDigestPinned) {
+  // Both of Incognito's former engines, row-wise and LatticeCounter,
+  // produced this digest at every thread count.
+  constexpr uint64_t kPinned = 0x7efea70c53459d67;
+  const NarrowCensus narrow = MakeNarrowCensus();
+  for (int threads : {1, 8}) {
+    const RunOutput run = PublishWith(narrow.table, narrow.taxonomies,
+                                      NarrowCensusIncognitoOptions(), threads);
+    EXPECT_EQ(engine::FingerprintPublishedTable(run.table), kPinned)
+        << Label(threads);
+  }
 }
 
 TEST(Phase2EquivalenceTest, RandomizedOptionSweep) {
   // Seeded sweep across the option space: random k, p, seed, and class
-  // categories. Columnar must track the oracle on every combination, not
-  // just the hand-picked ones above.
+  // categories. The parallel release must track the serial one on every
+  // combination, not just the hand-picked ones above.
   CensusDataset census = GenerateCensus(1500, 17).ValueOrDie();
   Rng rng(0xd1ff);
   for (int trial = 0; trial < 8; ++trial) {
@@ -222,16 +240,78 @@ TEST(Phase2EquivalenceTest, RandomizedOptionSweep) {
     }
     SCOPED_TRACE("trial " + std::to_string(trial) +
                  " k=" + std::to_string(options.k));
-    const RunOutput oracle = PublishWith(census.table,
-                                         census.TaxonomyPointers(), options,
-                                         Phase2Impl::kRowwise, 1);
-    for (int threads : {1, 8}) {
-      const RunOutput run =
-          PublishWith(census.table, census.TaxonomyPointers(), options,
-                      Phase2Impl::kColumnar, threads);
-      ExpectIdenticalRelease(oracle, run, Label(Phase2Impl::kColumnar,
-                                                threads));
+    CheckThreadInvariance(census.table, census.TaxonomyPointers(), options);
+  }
+}
+
+/// The naive oracle for one lattice node: build the recoding, group the
+/// rows, and count. This is exactly what the LatticeCounter replaces.
+bool NaiveIsKAnonymous(const Table& table, const std::vector<int>& qi_attrs,
+                       const std::vector<const Taxonomy*>& taxonomies,
+                       const std::vector<int>& depths, int k) {
+  return IsKAnonymous(
+      ComputeQiGroups(table, RecodingAtDepths(qi_attrs, taxonomies, depths)),
+      k);
+}
+
+/// Every node of the full-domain lattice: depth vectors with
+/// 0 <= depths[i] <= taxonomies[i]->height().
+std::vector<std::vector<int>> AllLatticeNodes(
+    const std::vector<const Taxonomy*>& taxonomies) {
+  std::vector<std::vector<int>> nodes = {{}};
+  for (const Taxonomy* tax : taxonomies) {
+    std::vector<std::vector<int>> extended;
+    for (const std::vector<int>& prefix : nodes) {
+      for (int depth = 0; depth <= tax->height(); ++depth) {
+        extended.push_back(prefix);
+        extended.back().push_back(depth);
+      }
     }
+    nodes = std::move(extended);
+  }
+  return nodes;
+}
+
+TEST(Phase2EquivalenceTest, LatticeCounterMatchesNaiveOnEveryNode) {
+  // IncognitoSearch's answer is a function of these per-node verdicts and
+  // an engine-independent NCP, so agreement on every node of a lattice
+  // proves the whole search unchanged on that input.
+  const NarrowCensus narrow = MakeNarrowCensus();
+  const HospitalDataset hospital = MakeHospitalDataset().ValueOrDie();
+  struct Case {
+    const char* name;
+    const Table* table;
+    std::vector<int> qi_attrs;
+    std::vector<const Taxonomy*> taxonomies;
+  };
+  const std::vector<Case> cases = {
+      {"census", &narrow.table, {0, 1}, narrow.taxonomies},
+      {"hospital",
+       &hospital.table,
+       {HospitalColumns::kAge, HospitalColumns::kGender,
+        HospitalColumns::kZipcode},
+       hospital.TaxonomyPointers()}};
+  columnar::ScratchPool pool;
+  for (const Case& c : cases) {
+    const columnar::QiIndex index =
+        columnar::QiIndex::Build(*c.table, c.qi_attrs);
+    const columnar::LatticeCounter counter(&index, c.taxonomies);
+    const std::vector<std::vector<int>> nodes = AllLatticeNodes(c.taxonomies);
+    int anonymous_nodes = 0;
+    for (int k : {2, 10, 50}) {
+      for (const std::vector<int>& depths : nodes) {
+        const bool naive =
+            NaiveIsKAnonymous(*c.table, c.qi_attrs, c.taxonomies, depths, k);
+        columnar::ScratchPool::Lease lease = pool.Acquire();
+        ASSERT_EQ(counter.IsKAnonymousAtDepths(depths, k, lease.get()), naive)
+            << c.name << " k=" << k
+            << " node=" << ::testing::PrintToString(depths);
+        anonymous_nodes += naive ? 1 : 0;
+      }
+    }
+    // Both verdicts occur, so the comparison is not vacuous.
+    EXPECT_GT(anonymous_nodes, 0) << c.name;
+    EXPECT_LT(anonymous_nodes, static_cast<int>(3 * nodes.size())) << c.name;
   }
 }
 
@@ -277,7 +357,6 @@ RandomLattice MakeRandomLattice(Rng& rng) {
 TEST(Phase2EquivalenceTest, LatticeCounterMatchesNaiveOnRandomTables) {
   // ~200 random (table, depths, k) triples, including empty tables and
   // depths beyond the taxonomy height (both sides clamp identically).
-  // The naive side is the exact row-wise oracle the counter replaces.
   Rng rng(4242);
   columnar::ScratchPool pool;
   for (int trial = 0; trial < 200; ++trial) {
@@ -294,10 +373,8 @@ TEST(Phase2EquivalenceTest, LatticeCounterMatchesNaiveOnRandomTables) {
         depths.push_back(rng.UniformInt(0, tax_ptrs[a]->height() + 2));
       }
       const int k = rng.UniformInt(1, 6);
-      const bool naive = IsKAnonymous(
-          ComputeQiGroups(lat.table,
-                          RecodingAtDepths(lat.qi_attrs, tax_ptrs, depths)),
-          k);
+      const bool naive =
+          NaiveIsKAnonymous(lat.table, lat.qi_attrs, tax_ptrs, depths, k);
       columnar::ScratchPool::Lease lease = pool.Acquire();
       const bool columnar_verdict =
           counter.IsKAnonymousAtDepths(depths, k, lease.get());
@@ -339,9 +416,8 @@ TEST(Phase2EquivalenceTest, LatticeCounterSparseFallbackMatchesNaive) {
        {std::vector<int>{0, 0, 0, 0}, std::vector<int>{1, 0, 0, 0},
         std::vector<int>{2, 1, 0, 3}}) {
     for (int k : {1, 2, 5}) {
-      const bool naive = IsKAnonymous(
-          ComputeQiGroups(table, RecodingAtDepths(qi_attrs, tax_ptrs, depths)),
-          k);
+      const bool naive =
+          NaiveIsKAnonymous(table, qi_attrs, tax_ptrs, depths, k);
       columnar::ScratchPool::Lease lease = pool.Acquire();
       EXPECT_EQ(naive, counter.IsKAnonymousAtDepths(depths, k, lease.get()))
           << "k=" << k;
@@ -360,7 +436,6 @@ TEST(Phase2EquivalenceTest, IncognitoScratchPoolIsReusedAcrossSearches) {
   columnar::ScratchPool pool;
   IncognitoOptions options;
   options.k = 8;
-  options.phase2 = Phase2Impl::kColumnar;
   options.scratch = &pool;
 
   GlobalRecoding first =
@@ -372,36 +447,6 @@ TEST(Phase2EquivalenceTest, IncognitoScratchPoolIsReusedAcrossSearches) {
   EXPECT_EQ(pool.scratches_created(), created_before);
   EXPECT_EQ(ComputeQiGroups(census.table, first).num_groups(),
             ComputeQiGroups(census.table, second).num_groups());
-}
-
-TEST(Phase2EquivalenceTest, EnvSelectorResolvesAutoOnly) {
-  // PGPUB_PHASE2 steers kAuto; explicit requests pass through untouched.
-  const char* saved = std::getenv("PGPUB_PHASE2");
-  const std::string saved_value = saved == nullptr ? "" : saved;
-
-  ::setenv("PGPUB_PHASE2", "rowwise", 1);
-  EXPECT_EQ(columnar::ResolvePhase2Impl(Phase2Impl::kAuto),
-            Phase2Impl::kRowwise);
-  EXPECT_EQ(columnar::ResolvePhase2Impl(Phase2Impl::kColumnar),
-            Phase2Impl::kColumnar);
-
-  ::setenv("PGPUB_PHASE2", "columnar", 1);
-  EXPECT_EQ(columnar::ResolvePhase2Impl(Phase2Impl::kAuto),
-            Phase2Impl::kColumnar);
-  EXPECT_EQ(columnar::ResolvePhase2Impl(Phase2Impl::kRowwise),
-            Phase2Impl::kRowwise);
-
-  ::setenv("PGPUB_PHASE2", "definitely-not-an-engine", 1);
-  EXPECT_EQ(columnar::ResolvePhase2Impl(Phase2Impl::kAuto),
-            Phase2Impl::kColumnar);
-
-  ::unsetenv("PGPUB_PHASE2");
-  EXPECT_EQ(columnar::ResolvePhase2Impl(Phase2Impl::kAuto),
-            Phase2Impl::kColumnar);
-
-  if (saved != nullptr) {
-    ::setenv("PGPUB_PHASE2", saved_value.c_str(), 1);
-  }
 }
 
 }  // namespace

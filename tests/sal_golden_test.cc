@@ -16,7 +16,6 @@
 #include <map>
 
 #include "bench/sal_digest.h"
-#include "core/columnar/phase2.h"
 #include "core/robust_publisher.h"
 #include "datagen/sal.h"
 
@@ -98,22 +97,11 @@ TEST(SalGoldenTest, ColdPublicationDigestPinned) {
   CensusDataset sal = GenerateAt(rows);
   const std::vector<const Taxonomy*> taxonomies = sal.TaxonomyPointers();
 
-  PgOptions options = bench::SalColdPublishOptions(1);
-  options.phase2_impl = columnar::Phase2Impl::kColumnar;
-  const PublishedTable columnar_release =
+  const PgOptions options = bench::SalColdPublishOptions(1);
+  const PublishedTable release =
       RobustPublisher(options).Publish(sal.table, taxonomies).ValueOrDie();
-  EXPECT_EQ(bench::Hex(bench::PublicationDigest(columnar_release)),
+  EXPECT_EQ(bench::Hex(bench::PublicationDigest(release)),
             bench::Hex(pin->second.publication_digest));
-
-  // At smoke scale, also hold the row-wise oracle to the same pin (the
-  // full-scale oracle leg lives in bench/sal_full, PGPUB_SAL_ORACLE=1).
-  if (rows <= 100000) {
-    options.phase2_impl = columnar::Phase2Impl::kRowwise;
-    const PublishedTable rowwise_release =
-        RobustPublisher(options).Publish(sal.table, taxonomies).ValueOrDie();
-    EXPECT_EQ(bench::Hex(bench::PublicationDigest(rowwise_release)),
-              bench::Hex(pin->second.publication_digest));
-  }
 }
 
 }  // namespace

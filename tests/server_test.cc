@@ -1,7 +1,7 @@
 /// \file server_test.cc
 /// pgpubd serving-core tests (DESIGN.md §12): fail-closed registry
 /// lookup, admission control and quotas, deadline sweeps on a manual
-/// clock, EDF scheduling, drain completeness, circuit-breaker
+/// clock, response timing on a ticking clock, EDF scheduling, drain completeness, circuit-breaker
 /// transitions (unit, with a fake clock, and end-to-end through a tenant
 /// whose engine is broken by a failpoint), response-byte determinism
 /// across submission order and engine thread count, and the text
@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -75,6 +76,18 @@ struct Collector {
     std::lock_guard<std::mutex> lock(mu);
     return responses[i];
   }
+};
+
+/// Advances one millisecond on every read, so each interval the server
+/// times is positive and grows with the reads made inside it.
+class TickingClock final : public ServerClock {
+ public:
+  uint64_t NowNanos() const override {
+    return nanos_.fetch_add(kNanosPerMilli, std::memory_order_relaxed);
+  }
+
+ private:
+  mutable std::atomic<uint64_t> nanos_{1000 * kNanosPerMilli};
 };
 
 struct TenantSpec {
@@ -282,6 +295,24 @@ TEST_F(ServerTest, QueuedRequestIsSweptWhenDeadlinePasses) {
   EXPECT_EQ(swept.digest, 0u);          // no table bytes ride along
   EXPECT_EQ(swept.publish_ms, 0.0);     // swept before any publish work
   EXPECT_GE(core.stats().rejected_deadline, 1u);
+}
+
+TEST_F(ServerTest, QueueTimeSpansAdmissionToReplyIncludingPublish) {
+  // queue_ms is stamped when the reply is built, after the publish, so
+  // it already contains publish_ms; latency consumers read it alone.
+  TickingClock clock;
+  auto registry = MakeRegistry(&clock, {{"alpha", 1, {}}});
+  ServerCore core(registry.get(), ServerOptions{}, &clock);
+  ASSERT_TRUE(core.Start().ok());
+  Collector col;
+  ASSERT_TRUE(core.Submit(Req("alpha", 1), col.Cb()).ok());
+  col.WaitFor(1);
+  core.Shutdown();
+
+  const ServerResponse served = col.at(0);
+  ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+  EXPECT_GT(served.publish_ms, 0.0);
+  EXPECT_GE(served.queue_ms, served.publish_ms);
 }
 
 TEST_F(ServerTest, StrictestDeadlineIsServedFirst) {

@@ -5,7 +5,6 @@
 
 namespace pgpub::lint {
 
-const char* const kRuleDiscardedStatus = "discarded-status";
 const char* const kRuleUncheckedResult = "unchecked-result";
 const char* const kRuleCheckOnInputPath = "check-on-input-path";
 const char* const kRuleNondeterminism = "nondeterminism";
@@ -18,7 +17,6 @@ const char* const kRuleSpanLiteral = "span-name-literal";
 
 std::string CanonicalRuleName(const std::string& name_or_id) {
   static const std::map<std::string, std::string> kMap = {
-      {"L1", kRuleDiscardedStatus},     {"l1", kRuleDiscardedStatus},
       {"L2", kRuleUncheckedResult},     {"l2", kRuleUncheckedResult},
       {"L3", kRuleCheckOnInputPath},    {"l3", kRuleCheckOnInputPath},
       {"L4", kRuleNondeterminism},      {"l4", kRuleNondeterminism},
@@ -32,7 +30,6 @@ std::string CanonicalRuleName(const std::string& name_or_id) {
       {"thread", kRuleRawThread},
       {"mutex", kRuleRawMutex},
       {"span", kRuleSpanLiteral},
-      {kRuleDiscardedStatus, kRuleDiscardedStatus},
       {kRuleUncheckedResult, kRuleUncheckedResult},
       {kRuleCheckOnInputPath, kRuleCheckOnInputPath},
       {kRuleNondeterminism, kRuleNondeterminism},
@@ -68,20 +65,6 @@ bool IsIdent(const Token& t, const char* text) {
 
 bool IsPunct(const Token& t, const char* text) {
   return t.kind == TokenKind::kPunct && t.text == text;
-}
-
-/// Walks from `open` (an index of "(") forward to its matching ")".
-/// Returns tokens.size() when unbalanced.
-size_t MatchForward(const Tokens& toks, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kPunct) continue;
-    if (toks[i].text == "(") ++depth;
-    if (toks[i].text == ")") {
-      if (--depth == 0) return i;
-    }
-  }
-  return toks.size();
 }
 
 /// Walks from `close` (an index of ")") backward to its matching "(".
@@ -136,143 +119,11 @@ void Report(std::vector<Finding>* out, const std::string& file,
   if (sup.Allows(line, rule)) return;
   // Short ids (and the "io"/"thread"/"mutex" shorthands) work in allow()
   // too.
-  for (const char* id : {"L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8",
+  for (const char* id : {"L2", "L3", "L4", "L5", "L6", "L7", "L8",
                          "L9", "L10", "io", "thread", "mutex", "span"}) {
     if (CanonicalRuleName(id) == rule && sup.Allows(line, id)) return;
   }
   out->push_back(Finding{file, line, rule, std::move(message)});
-}
-
-// ------------------------------------------------------------ declaration
-// harvesting (for L1)
-
-/// Names that start a declarator chain we never want in the API set.
-bool IsHarvestStopword(const std::string& name) {
-  // `operator` overloads and macro-ish names are not call-position
-  // identifiers the discard scan can match sensibly.
-  return name == "operator" || name == "if" || name == "while" ||
-         name == "for" || name == "switch" || name == "return";
-}
-
-}  // namespace
-
-void HarvestStatusApis(const LexedFile& lexed, std::set<std::string>* out) {
-  const Tokens& toks = lexed.tokens;
-  for (size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier) continue;
-    size_t after_type = 0;
-    if (toks[i].text == "Status") {
-      after_type = i + 1;
-    } else if (toks[i].text == "Result" && i + 1 < toks.size() &&
-               IsPunct(toks[i + 1], "<")) {
-      const size_t past = SkipTemplateArgs(toks, i + 1);
-      if (past == i + 1) continue;
-      after_type = past;
-    } else {
-      continue;
-    }
-    // `pgpub::Status` qualification: treat the qualifier as part of the
-    // type, i.e. the scan above already landed on the last component.
-    // Declarator chain: ident (:: ident)* "(".
-    size_t j = after_type;
-    std::string last_name;
-    while (j + 1 < toks.size() && toks[j].kind == TokenKind::kIdentifier) {
-      last_name = toks[j].text;
-      if (IsPunct(toks[j + 1], "(")) {
-        if (!last_name.empty() && !IsHarvestStopword(last_name)) {
-          out->insert(last_name);
-        }
-        break;
-      }
-      if (IsPunct(toks[j + 1], "::") && j + 2 < toks.size()) {
-        j += 2;
-        continue;
-      }
-      break;
-    }
-  }
-}
-
-namespace {
-
-// -------------------------------------------------------------------- L1
-
-/// Decides whether the call whose name is at `i` discards its value.
-/// Walks backward over the receiver chain to the statement boundary and
-/// forward past the argument list.
-bool IsDiscardedCall(const Tokens& toks, size_t i) {
-  // Forward: the full postfix expression must end right after the
-  // argument list for the value to be discarded.
-  const size_t close = MatchForward(toks, i + 1);
-  if (close >= toks.size() || close + 1 >= toks.size()) return false;
-  if (!IsPunct(toks[close + 1], ";")) return false;
-
-  // Backward: step over `obj.` / `ns::` / `call().` receiver chains.
-  size_t j = i;
-  while (j > 0) {
-    const Token& prev = toks[j - 1];
-    if (IsPunct(prev, ".") || IsPunct(prev, "->") || IsPunct(prev, "::")) {
-      if (j < 2) return false;
-      const Token& recv = toks[j - 2];
-      if (recv.kind == TokenKind::kIdentifier) {
-        j -= 2;
-        continue;
-      }
-      if (IsPunct(recv, ")")) {
-        const size_t open = MatchBackward(toks, j - 2);
-        if (open == static_cast<size_t>(-1)) return false;
-        // Step to whatever precedes the call producing the receiver.
-        if (open > 0 && toks[open - 1].kind == TokenKind::kIdentifier) {
-          j = open - 1;
-          continue;
-        }
-        return false;
-      }
-      return false;
-    }
-    break;
-  }
-  if (j == 0) return true;  // first token of the file: statement position
-  const Token& boundary = toks[j - 1];
-  if (IsPunct(boundary, ";") || IsPunct(boundary, "{") ||
-      IsPunct(boundary, "}") || IsIdent(boundary, "else") ||
-      IsIdent(boundary, "do") ||
-      boundary.kind == TokenKind::kPreprocessor) {
-    return true;
-  }
-  if (IsPunct(boundary, ")")) {
-    const size_t open = MatchBackward(toks, j - 1);
-    if (open == static_cast<size_t>(-1) || open == 0) return false;
-    // `(void)Call();` is the sanctioned explicit-discard idiom.
-    if (open + 2 == j - 1 && IsIdent(toks[open + 1], "void")) return false;
-    const Token& before = toks[open - 1];
-    // `if (...) Call();` — still a discarded statement.
-    return IsIdent(before, "if") || IsIdent(before, "for") ||
-           IsIdent(before, "while") || IsIdent(before, "switch");
-  }
-  return false;
-}
-
-void RunDiscardedStatus(const std::string& file, const LexedFile& lexed,
-                        const LintOptions& options,
-                        std::vector<Finding>* out) {
-  const Tokens& toks = lexed.tokens;
-  for (size_t i = 0; i < toks.size(); ++i) {
-    if (!IsCallLike(toks, i)) continue;
-    if (options.status_apis.count(toks[i].text) == 0) continue;
-    // Skip declarations/definitions: preceded by the return type token.
-    if (i > 0 &&
-        (IsIdent(toks[i - 1], "Status") || IsPunct(toks[i - 1], ">"))) {
-      continue;
-    }
-    if (IsDiscardedCall(toks, i)) {
-      Report(out, file, lexed.suppressions, toks[i].line,
-             kRuleDiscardedStatus,
-             "result of Status/Result-returning '" + toks[i].text +
-                 "' is discarded; propagate with RETURN_IF_ERROR / "
-                 "ASSIGN_OR_RETURN or handle the error");
-    }
-  }
 }
 
 // -------------------------------------------------------------------- L2
@@ -845,9 +696,6 @@ std::vector<Finding> LintFile(const std::string& rel_path,
   std::vector<Finding> findings;
   if (category == FileCategory::kExempt) return findings;
 
-  if (RuleEnabled(options, kRuleDiscardedStatus)) {
-    RunDiscardedStatus(rel_path, lexed, options, &findings);
-  }
   if (category == FileCategory::kLibrary) {
     if (RuleEnabled(options, kRuleUncheckedResult)) {
       RunUncheckedResult(rel_path, lexed, &findings);
@@ -890,10 +738,7 @@ std::vector<Finding> LintSource(const std::string& rel_path,
                                 FileCategory category,
                                 const std::string& source,
                                 const LintOptions& options) {
-  const LexedFile lexed = Lex(source);
-  LintOptions effective = options;
-  HarvestStatusApis(lexed, &effective.status_apis);
-  return LintFile(rel_path, category, lexed, effective);
+  return LintFile(rel_path, category, Lex(source), options);
 }
 
 }  // namespace pgpub::lint

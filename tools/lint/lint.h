@@ -16,11 +16,12 @@ struct Finding {
   std::string message;
 };
 
-/// The ten project invariants, by canonical name. Suppression comments
-/// accept either the canonical name or the short id (L1..L10):
+/// The nine project invariants, by canonical name. Suppression comments
+/// accept either the canonical name or the short id (L2..L10). L1 is
+/// retired: a discarded Status/Result is a compile error
+/// (`class [[nodiscard]]` plus -Werror=unused-result), which sees types
+/// where a lexer could only match names.
 ///
-///   L1 discarded-status     — a call to a Status/Result-returning function
-///                             whose return value is discarded.
 ///   L2 unchecked-result     — Result unwrap (`ValueOrDie`) with no
 ///                             preceding ok()/status() check of the same
 ///                             object, or an unwrap of an unnamed
@@ -75,7 +76,6 @@ struct Finding {
 ///                             histograms and defeat the no-allocation
 ///                             hot path; span names must be literals.
 ///                             Suppression also accepts allow(span).
-extern const char* const kRuleDiscardedStatus;
 extern const char* const kRuleUncheckedResult;
 extern const char* const kRuleCheckOnInputPath;
 extern const char* const kRuleNondeterminism;
@@ -86,7 +86,7 @@ extern const char* const kRuleRawMutex;
 extern const char* const kRuleUnannotatedGuard;
 extern const char* const kRuleSpanLiteral;
 
-/// Maps "L1".."L10" (or "io"/"thread"/"mutex"/"span", or a canonical
+/// Maps "L2".."L10" (or "io"/"thread"/"mutex"/"span", or a canonical
 /// name) to the canonical name; returns an empty string for unknown rules.
 std::string CanonicalRuleName(const std::string& name_or_id);
 
@@ -102,10 +102,6 @@ enum class FileCategory { kLibrary, kHarness, kExempt };
 FileCategory CategorizeRelPath(const std::string& rel_path);
 
 struct LintOptions {
-  /// Function names known to return Status or Result<T> (L1). Filled by
-  /// HarvestStatusApis; callers may inject extra names.
-  std::set<std::string> status_apis;
-
   /// Relative paths (as written in the allowlist file) where PGPUB_CHECK
   /// remains acceptable — internal invariant layers (L3).
   std::set<std::string> check_allowlist;
@@ -137,13 +133,9 @@ struct LintOptions {
   /// parameter, not a span.
   std::set<std::string> span_literal_exempt = {"src/obs/"};
 
-  /// Rules to run (canonical names). Empty = all ten.
+  /// Rules to run (canonical names). Empty = all nine.
   std::set<std::string> enabled_rules;
 };
-
-/// Scans one lexed file for declarations of Status/Result-returning
-/// functions and adds their names to `out` (pass 1 of the tool).
-void HarvestStatusApis(const LexedFile& lexed, std::set<std::string>* out);
 
 /// Runs every applicable rule over one file. `rel_path` is the
 /// repo-relative path used for policy (allowlists, exemptions) and for

@@ -76,13 +76,13 @@ TEST(LexerTest, TracksLineNumbersAcrossConstructs) {
 TEST(LexerTest, HarvestsSuppressionsTrailingAndLeading) {
   const LexedFile lexed = Lex(
       "int a;  // pgpub-lint: allow(float-equality)\n"
-      "// pgpub-lint: allow(nondeterminism, L1)\n"
+      "// pgpub-lint: allow(nondeterminism, L2)\n"
       "int b;\n");
   EXPECT_TRUE(lexed.suppressions.Allows(1, "float-equality"));
   EXPECT_FALSE(lexed.suppressions.Allows(2, "float-equality"));
   // Comment-only line covers itself and the next line.
   EXPECT_TRUE(lexed.suppressions.Allows(3, "nondeterminism"));
-  EXPECT_TRUE(lexed.suppressions.Allows(3, "L1"));
+  EXPECT_TRUE(lexed.suppressions.Allows(3, "L2"));
   EXPECT_FALSE(lexed.suppressions.Allows(4, "nondeterminism"));
 }
 
@@ -95,7 +95,6 @@ TEST(LexerTest, AllowAllSuppressesEverything) {
 // ------------------------------------------------------- rule name mapping
 
 TEST(RuleNameTest, ShortIdsMapToCanonicalNames) {
-  EXPECT_EQ(CanonicalRuleName("L1"), kRuleDiscardedStatus);
   EXPECT_EQ(CanonicalRuleName("L2"), kRuleUncheckedResult);
   EXPECT_EQ(CanonicalRuleName("L3"), kRuleCheckOnInputPath);
   EXPECT_EQ(CanonicalRuleName("L4"), kRuleNondeterminism);
@@ -116,6 +115,9 @@ TEST(RuleNameTest, ShortIdsMapToCanonicalNames) {
   EXPECT_EQ(CanonicalRuleName("span"), kRuleSpanLiteral);
   EXPECT_EQ(CanonicalRuleName("span-name-literal"), kRuleSpanLiteral);
   EXPECT_EQ(CanonicalRuleName("bogus"), "");
+  // L1 (discarded-status) is retired: the compiler enforces it.
+  EXPECT_EQ(CanonicalRuleName("L1"), "");
+  EXPECT_EQ(CanonicalRuleName("discarded-status"), "");
 }
 
 TEST(CategoryTest, PathsMapToCategories) {
@@ -128,76 +130,6 @@ TEST(CategoryTest, PathsMapToCategories) {
   EXPECT_EQ(CategorizeRelPath("tests/attack_test.cc"),
             FileCategory::kExempt);
   EXPECT_EQ(CategorizeRelPath("build/generated.cc"), FileCategory::kExempt);
-}
-
-// ----------------------------------------------------- L1 discarded-status
-
-constexpr char kStatusDecls[] =
-    "Status Validate(const Table& t);\n"
-    "Result<int> Parse(const std::string& s);\n";
-
-TEST(DiscardedStatusTest, FlagsBareStatementCall) {
-  const auto findings = RunLint(std::string(kStatusDecls) +
-                            "void f(const Table& t) {\n"
-                            "  Validate(t);\n"
-                            "}\n");
-  EXPECT_TRUE(HasFinding(findings, kRuleDiscardedStatus, 4));
-}
-
-TEST(DiscardedStatusTest, FlagsDiscardedMemberCall) {
-  LintOptions options;
-  options.status_apis.insert("Publish");
-  const auto findings =
-      RunLint("void f(Publisher& p, const Table& t) {\n"
-          "  p.Publish(t);\n"
-          "}\n",
-          FileCategory::kLibrary, options);
-  EXPECT_TRUE(HasFinding(findings, kRuleDiscardedStatus, 2));
-}
-
-TEST(DiscardedStatusTest, AcceptsAssignedReturnAndConditions) {
-  const auto findings = RunLint(std::string(kStatusDecls) +
-                            "Status g(const Table& t) {\n"
-                            "  Status s = Validate(t);\n"
-                            "  if (!Validate(t).ok()) return s;\n"
-                            "  RETURN_IF_ERROR(Validate(t));\n"
-                            "  return Validate(t);\n"
-                            "}\n");
-  EXPECT_TRUE(findings.empty()) << findings[0].message;
-}
-
-TEST(DiscardedStatusTest, FlagsDiscardInsideIfBody) {
-  const auto findings = RunLint(std::string(kStatusDecls) +
-                            "void f(const Table& t, bool retry) {\n"
-                            "  if (retry) Validate(t);\n"
-                            "}\n");
-  EXPECT_TRUE(HasFinding(findings, kRuleDiscardedStatus, 4));
-}
-
-TEST(DiscardedStatusTest, VoidCastIsASanctionedDiscard) {
-  const auto findings = RunLint(std::string(kStatusDecls) +
-                            "void f(const Table& t) {\n"
-                            "  (void)Validate(t);\n"
-                            "}\n");
-  EXPECT_TRUE(findings.empty()) << findings[0].message;
-}
-
-TEST(DiscardedStatusTest, SuppressibleWithAllowComment) {
-  const auto findings =
-      RunLint(std::string(kStatusDecls) +
-          "void f(const Table& t) {\n"
-          "  Validate(t);  // pgpub-lint: allow(discarded-status)\n"
-          "}\n");
-  EXPECT_TRUE(findings.empty()) << findings[0].message;
-}
-
-TEST(DiscardedStatusTest, HarvestsQualifiedAndResultDeclarations) {
-  const auto findings =
-      RunLint("Result<std::vector<int>> Loader::LoadRows(const Path& p);\n"
-          "void f(const Path& p) {\n"
-          "  LoadRows(p);\n"
-          "}\n");
-  EXPECT_TRUE(HasFinding(findings, kRuleDiscardedStatus, 3));
 }
 
 // ---------------------------------------------------- L2 unchecked-result

@@ -1,9 +1,9 @@
 // pgpub_lint — project-specific static analysis for the PG publication
-// codebase. Lexer-based (no compiler front end): enforces the ten
+// codebase. Lexer-based (no compiler front end): enforces the nine
 // invariants documented in lint.h over src/, bench/ and examples/.
 //
 // Usage:
-//   pgpub_lint [--root=DIR] [--allowlist=FILE] [--rules=L1,L3,...] [paths...]
+//   pgpub_lint [--root=DIR] [--allowlist=FILE] [--rules=L2,L3,...] [paths...]
 //
 // With no paths, scans src/ bench/ examples/ under --root (default: the
 // current directory, walking up until a directory containing src/ is
@@ -28,7 +28,6 @@ using pgpub::lint::CanonicalRuleName;
 using pgpub::lint::CategorizeRelPath;
 using pgpub::lint::FileCategory;
 using pgpub::lint::Finding;
-using pgpub::lint::LexedFile;
 using pgpub::lint::LintOptions;
 
 bool HasCxxExtension(const fs::path& p) {
@@ -85,12 +84,12 @@ bool LoadAllowlist(const fs::path& file, std::set<std::string>* out) {
 
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--root=DIR] [--allowlist=FILE] [--rules=L1,L2,...]"
+            << " [--root=DIR] [--allowlist=FILE] [--rules=L2,L3,...]"
                " [paths...]\n"
-               "rules: L1 discarded-status, L2 unchecked-result, L3"
-               " check-on-input-path,\n       L4 nondeterminism, L5"
-               " float-equality, L6 direct-io,\n       L7 raw-thread,"
-               " L8 raw-mutex, L9 unannotated-guard,\n       L10 span-name-literal\n";
+               "rules: L2 unchecked-result, L3 check-on-input-path,\n"
+               "       L4 nondeterminism, L5 float-equality, L6 direct-io,\n"
+               "       L7 raw-thread, L8 raw-mutex, L9 unannotated-guard,\n"
+               "       L10 span-name-literal\n";
   return 2;
 }
 
@@ -178,38 +177,20 @@ int main(int argc, char** argv) {
   }
   std::sort(files.begin(), files.end());
 
-  // Pass 1: lex everything once, harvesting the Status/Result API surface
-  // across the whole scan set so call sites in one file see declarations
-  // from another.
-  struct Unit {
-    std::string rel;
-    FileCategory category;
-    LexedFile lexed;
-  };
-  std::vector<Unit> units;
-  units.reserve(files.size());
+  int total = 0;
+  int scanned = 0;
   for (const fs::path& file : files) {
+    const std::string rel = RelPath(file, root);
+    const FileCategory category = CategorizeRelPath(rel);
+    if (category == FileCategory::kExempt) continue;
     std::string source;
     if (!ReadFile(file, &source)) {
       std::cerr << "pgpub_lint: cannot read " << file.string() << "\n";
       return 2;
     }
-    Unit u;
-    u.rel = RelPath(file, root);
-    u.category = CategorizeRelPath(u.rel);
-    u.lexed = pgpub::lint::Lex(source);
-    pgpub::lint::HarvestStatusApis(u.lexed, &options.status_apis);
-    units.push_back(std::move(u));
-  }
-
-  // Pass 2: run the rules.
-  int total = 0;
-  int scanned = 0;
-  for (const Unit& u : units) {
-    if (u.category == FileCategory::kExempt) continue;
     ++scanned;
-    for (const Finding& f :
-         pgpub::lint::LintFile(u.rel, u.category, u.lexed, options)) {
+    for (const Finding& f : pgpub::lint::LintSource(rel, category, source,
+                                                    options)) {
       std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
                 << f.message << "\n";
       ++total;
@@ -217,8 +198,7 @@ int main(int argc, char** argv) {
   }
 
   if (total == 0) {
-    std::cerr << "pgpub_lint: " << scanned << " files clean ("
-              << options.status_apis.size() << " Status/Result APIs tracked)\n";
+    std::cerr << "pgpub_lint: " << scanned << " files clean\n";
     return 0;
   }
   std::cerr << "pgpub_lint: " << total << " finding" << (total == 1 ? "" : "s")
