@@ -9,6 +9,7 @@
 #include "core/pg_publisher.h"
 #include "datagen/census.h"
 #include "mining/evaluate.h"
+#include "perturb/randomized_response.h"
 #include "sample/stratified.h"
 
 namespace pgpub {

@@ -104,7 +104,6 @@ int Main() {
   {
     obs::JsonValue row = obs::JsonValue::Object();
     row.Set("leg", "cold_publish");
-    row.Set("phase2", "columnar");
     row.Set("rows_in", static_cast<uint64_t>(rows));
     row.Set("rows_out", static_cast<uint64_t>(cold.num_rows()));
     row.Set("wall_ns", cold_ns);

@@ -64,7 +64,6 @@ Result<TrialOutcome> PgLinkingTrial(const AttackContext& context, Rng& rng,
                                     BreachHarnessOptions::PriorKind kind) {
   RETURN_IF_ERROR(RequirePg(context));
   const BreachHarnessOptions& options = *context.options;
-  const PublishedTable& published = *context.release->pg;
   const ExternalDatabase& edb = *context.edb;
   const Table& microdata = *context.microdata;
   const int sens = context.sensitive_attr;
@@ -82,18 +81,13 @@ Result<TrialOutcome> PgLinkingTrial(const AttackContext& context, Rng& rng,
                    MakePrior(kind, us, true_value, lambda, rng));
 
   // Corrupt candidates sharing the victim's published cell (the most
-  // damaging corruption targets).
-  auto crucial = published.CrucialTuple(victim_ind.qi_codes);
-  if (!crucial.ok()) {
-    return crucial.status().WithContext(
-        "microdata member has no crucial tuple");
+  // damaging corruption targets), in ascending ℰ order.
+  auto cell = context.linker->CellOf(victim);
+  if (!cell.ok()) {
+    return cell.status().WithContext("microdata member has no crucial tuple");
   }
-  uint64_t candidate_set = 1;  // the victim itself
-  for (size_t i = 0; i < edb.size(); ++i) {
+  for (uint32_t i : **cell) {
     if (i == victim) continue;
-    auto other = published.CrucialTuple(edb.individual(i).qi_codes);
-    if (!other.ok() || *other != *crucial) continue;
-    ++candidate_set;
     metrics.GetCounter("attack.corruption_draws")->Add();
     if (!rng.Bernoulli(corruption_rate)) continue;
     const Individual& ind = edb.individual(i);
@@ -101,7 +95,7 @@ Result<TrialOutcome> PgLinkingTrial(const AttackContext& context, Rng& rng,
                            ? Adversary::kExtraneousMark
                            : microdata.value(ind.microdata_row, sens);
   }
-  metrics.GetHistogram("attack.candidate_set")->Observe(candidate_set);
+  metrics.GetHistogram("attack.candidate_set")->Observe((*cell)->size());
   metrics.GetCounter("attack.corrupted")->Add(adv.corrupted.size());
 
   ASSIGN_OR_RETURN(AttackResult result, context.linker->Attack(victim, adv));

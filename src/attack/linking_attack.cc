@@ -132,6 +132,19 @@ Result<LinkingAttack> LinkingAttack::Create(const PublishedTable* published,
   return attack;
 }
 
+Result<const std::vector<uint32_t>*> LinkingAttack::CellOf(
+    size_t individual) const {
+  if (individual >= edb_->size()) {
+    return Status::InvalidArgument("individual index out of range");
+  }
+  const int64_t crucial = crucial_of_individual_[individual];
+  if (crucial < 0) {
+    return Status::NotFound(
+        "no published tuple generalizes the individual's QI-vector");
+  }
+  return &candidates_of_row_[static_cast<size_t>(crucial)];
+}
+
 Result<AttackResult> LinkingAttack::Attack(size_t victim_index,
                                            const Adversary& adversary) const {
   if (victim_index >= edb_->size()) {

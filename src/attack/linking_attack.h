@@ -68,6 +68,13 @@ class LinkingAttack {
   [[nodiscard]] Result<AttackResult> Attack(size_t victim_index,
                                             const Adversary& adversary) const;
 
+  /// The ℰ individuals whose crucial tuple (step A1) is `individual`'s,
+  /// in ascending ℰ order and including `individual` itself. Fails with
+  /// InvalidArgument when `individual` is out of range and NotFound when
+  /// no published tuple generalizes its QI-vector.
+  [[nodiscard]] Result<const std::vector<uint32_t>*> CellOf(
+      size_t individual) const;
+
  private:
   LinkingAttack(const PublishedTable* published, const ExternalDatabase* edb)
       : published_(published), edb_(edb) {}

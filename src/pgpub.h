@@ -16,8 +16,8 @@
 ///     dataset via BreachScenario, with rival-guarantee publishers and the
 ///     transparent adversary), linking attack and external database.
 ///   - Evaluation: synthetic datasets (census/SAL/hospital/clinic),
-///     decision-tree/naive-Bayes mining, ℓ-diversity baseline,
-///     m-invariance republication, query accuracy.
+///     decision-tree/naive-Bayes mining, ℓ-diversity baseline, query
+///     accuracy.
 ///   - Infrastructure: Status/Result, deterministic Rng, structured
 ///     logging and metrics.
 
@@ -47,6 +47,7 @@
 #include "core/verify.h"
 #include "engine/publication_engine.h"
 #include "generalize/tds.h"
+#include "perturb/randomized_response.h"
 #include "sample/stratified.h"
 
 // Attack harness and scenario framework.
@@ -66,4 +67,3 @@
 #include "mining/dataset_io.h"
 #include "mining/evaluate.h"
 #include "mining/naive_bayes.h"
-#include "republish/minvariance.h"

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "attack/linking_attack.h"
 #include "core/pg_publisher.h"
@@ -244,11 +245,76 @@ TEST(LinkingAttackTest, CorruptionRaisesOwnershipProbability) {
   EXPECT_GT(r1.h, r0.h - 1e-12);
 }
 
+// ------------------------------------------------- CellOf vs naive scan
+
+TEST(LinkingAttackTest, CellOfMatchesNaiveCrucialTupleScan) {
+  CensusDataset census = GenerateCensus(3000, 29).ValueOrDie();
+  PgOptions options;
+  options.k = 4;
+  options.p = 0.3;
+  options.seed = 3;
+  PublishedTable published =
+      PgPublisher(options)
+          .Publish(census.table, census.TaxonomyPointers())
+          .ValueOrDie();
+  Rng rng(31);
+  ExternalDatabase edb =
+      ExternalDatabase::FromMicrodata(census.table, 600, rng);
+  LinkingAttack attacker =
+      LinkingAttack::Create(&published, &edb).ValueOrDie();
+
+  // Naive oracle: step A1 for every ℰ individual on its own.
+  std::vector<int64_t> crucial(edb.size(), -1);
+  for (size_t i = 0; i < edb.size(); ++i) {
+    auto row = published.CrucialTuple(edb.individual(i).qi_codes);
+    if (row.ok()) crucial[i] = static_cast<int64_t>(*row);
+  }
+
+  for (size_t i = 0; i < edb.size(); ++i) {
+    auto cell = attacker.CellOf(i);
+    if (crucial[i] < 0) {
+      EXPECT_TRUE(cell.status().IsNotFound()) << "individual " << i;
+      continue;
+    }
+    std::vector<uint32_t> expected;
+    for (size_t j = 0; j < edb.size(); ++j) {
+      if (crucial[j] == crucial[i]) {
+        expected.push_back(static_cast<uint32_t>(j));
+      }
+    }
+    ASSERT_TRUE(cell.ok()) << "individual " << i << ": "
+                           << cell.status().ToString();
+    EXPECT_EQ(**cell, expected) << "individual " << i;
+  }
+  EXPECT_TRUE(attacker.CellOf(edb.size()).status().IsInvalidArgument());
+}
+
+TEST(LinkingAttackTest, CellOfIsNotFoundOutsideEveryPublishedCell) {
+  HospitalAttackFixture f;
+  ExternalDatabase edb = f.hospital.voter_list;
+  // A young woman: Table Ia has none, so no published tuple is hers.
+  Individual outsider;
+  outsider.id = "Olive";
+  outsider.qi_codes = {
+      f.hospital.table.domain(0).EncodeNumeric(22).ValueOrDie(),
+      f.hospital.table.domain(1).EncodeString("F").ValueOrDie(),
+      f.hospital.table.domain(2).EncodeNumeric(60).ValueOrDie()};
+  ASSERT_FALSE(f.published.CrucialTuple(outsider.qi_codes).ok());
+  const size_t olive = edb.Add(outsider);
+  LinkingAttack attacker =
+      LinkingAttack::Create(&f.published, &edb).ValueOrDie();
+
+  EXPECT_TRUE(attacker.CellOf(olive).status().IsNotFound());
+}
+
 // ----------------------------------------------- h <= h_top property sweep
 
 struct HSweepParam {
   double p;
-  int k;
+  // 64-bit so the struct has no padding: GTest names each case by the
+  // param's bytes, and uninitialised padding made those names change run
+  // to run.
+  std::int64_t k;
   double lambda;
 };
 
@@ -258,7 +324,7 @@ TEST_P(HBoundSweep, OwnershipProbabilityNeverExceedsHTop) {
   const HSweepParam param = GetParam();
   CensusDataset census = GenerateCensus(4000, 17).ValueOrDie();
   PgOptions options;
-  options.k = param.k;
+  options.k = static_cast<int>(param.k);
   options.p = param.p;
   options.seed = 5;
   PgPublisher publisher(options);
@@ -271,7 +337,8 @@ TEST_P(HBoundSweep, OwnershipProbabilityNeverExceedsHTop) {
   LinkingAttack attacker =
       LinkingAttack::Create(&published, &edb).ValueOrDie();
 
-  PgParams bound_params{param.p, param.k, param.lambda, 50};
+  PgParams bound_params{param.p, static_cast<int>(param.k), param.lambda,
+                        50};
   const double h_top = HTop(bound_params);
 
   int attacks = 0;

@@ -16,6 +16,7 @@
 #include "core/pg_publisher.h"
 #include "datagen/census.h"
 #include "diversity/beta_likeness.h"
+#include "obs/metrics.h"
 
 namespace pgpub {
 namespace {
@@ -135,10 +136,24 @@ TEST(BreachScenarioTest, PinnedSeed42CensusCorruptionGolden) {
   // breaches of either declared bound.
   PinnedCell cell;
   CorruptionLinkingAdversary adversary;
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const uint64_t draws_before =
+      metrics.GetCounter("attack.corruption_draws")->value();
+  const uint64_t corrupted_before =
+      metrics.GetCounter("attack.corrupted")->value();
   const BreachStats stats =
       BreachScenario::Run(cell.publisher, adversary, cell.dataset,
                           cell.options)
           .ValueOrDie();
+  // How many cell-mates the trials drew corruption for, and how many of
+  // those draws corrupted: the posterior pins below do not show a change
+  // in which candidates a trial draws for.
+  EXPECT_EQ(metrics.GetCounter("attack.corruption_draws")->value() -
+                draws_before,
+            9858u);
+  EXPECT_EQ(metrics.GetCounter("attack.corrupted")->value() -
+                corrupted_before,
+            5051u);
   EXPECT_EQ(stats.publisher, "pg");
   EXPECT_EQ(stats.adversary, "corruption-linking");
   EXPECT_EQ(stats.dataset, "census");
