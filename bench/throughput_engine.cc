@@ -5,8 +5,9 @@
 /// no caches) vs. warm (one engine, caches populated).
 ///
 /// The grid sweeps k x generalizer with a solved-p ρ₁-to-ρ₂ target, so a
-/// warm pass hits both engine caches (Phase-2 recoding + retention
-/// fixpoint) and skips the O(rows) input screen. A built-in equality guard
+/// warm pass hits the engine's Phase-2 recoding cache on every request and
+/// skips the O(rows) input screen. Both legs audit every release, as
+/// pgpubd does. A built-in equality guard
 /// re-checks that every warm release is byte-identical to its cold
 /// counterpart before any timing is reported — a fast wrong answer is not
 /// a speedup.
@@ -16,9 +17,7 @@
 /// cache_misses, cache_evictions and cache_hit_rate.
 ///
 /// Env knobs: PGPUB_SAL_N (rows, default 700000), PGPUB_ENGINE_REPS
-/// (warm passes, default 3), PGPUB_ENGINE_THREADS (0 = env default),
-/// PGPUB_ENGINE_AUDIT (1 to re-audit every release in both legs; default
-/// 0 benchmarks the raw serving path).
+/// (warm passes, default 3), PGPUB_ENGINE_THREADS (0 = env default).
 
 #include <chrono>
 #include <cstdint>
@@ -120,13 +119,11 @@ int Main() {
   const int reps = static_cast<int>(EnvSize("PGPUB_ENGINE_REPS", 3));
   const int threads =
       static_cast<int>(EnvSize("PGPUB_ENGINE_THREADS", 0));
-  const bool audit = EnvSize("PGPUB_ENGINE_AUDIT", 0) != 0;
 
   bench::BenchReport report("throughput_engine");
   report.SetParam("rows", static_cast<uint64_t>(n));
   report.SetParam("reps", static_cast<uint64_t>(reps));
   report.SetParam("threads", static_cast<uint64_t>(threads));
-  report.SetParam("audit_release", audit);
   report.SetParam("hardware_threads",
                   static_cast<uint64_t>(ThreadPool::DefaultNumThreads()));
 
@@ -136,9 +133,6 @@ int Main() {
   CensusDataset sal = GenerateSal(sal_options).ValueOrDie();
   const std::vector<engine::PublishRequest> grid = MakeGrid();
   report.SetParam("grid_size", static_cast<uint64_t>(grid.size()));
-
-  RobustPublishOptions robust;
-  robust.audit_release = audit;
 
   // ---- Cold leg: one-shot RobustPublisher per request, no caches.
   Leg cold{"cold"};
@@ -151,7 +145,7 @@ int Main() {
       options.num_threads = threads;
       PublishReport publish_report;
       const PublishedTable table =
-          RobustPublisher(options, robust)
+          RobustPublisher(options)
               .Publish(sal.table, taxonomies, &publish_report)
               .ValueOrDie();
       cold_outputs.push_back(Flatten(table));
@@ -164,7 +158,6 @@ int Main() {
   // ---- Engine: pass 1 populates the caches, passes 2..reps+1 are warm.
   engine::EngineOptions engine_options;
   engine_options.num_threads = threads;
-  engine_options.robust = robust;
   std::unique_ptr<engine::PublicationEngine> eng =
       engine::PublicationEngine::Create(std::move(sal.table),
                                         std::move(sal.taxonomies),

@@ -7,7 +7,6 @@
 
 #include "common/string_util.h"
 #include "core/guarantees.h"
-#include "core/robust_publisher.h"
 #include "diversity/beta_likeness.h"
 #include "generalize/tds.h"
 
@@ -61,18 +60,14 @@ Result<Release> PgScenarioPublisher::Publish(const ScenarioDataset& dataset,
   pg.keep_provenance = true;
   pg.num_threads = options.publish_threads;
 
-  Result<PublishedTable> published =
-      config_.robust
-          ? RobustPublisher(pg).Publish(*dataset.microdata, dataset.taxonomies,
-                                        /*report=*/nullptr, hooks)
-          : PgPublisher(pg).Publish(*dataset.microdata, dataset.taxonomies,
-                                    hooks);
-  RETURN_IF_ERROR(published.status());
+  ASSIGN_OR_RETURN(
+      PublishedTable published,
+      PgPublisher(pg).Publish(*dataset.microdata, dataset.taxonomies, hooks));
 
   Release release;
   release.label = config_.label;
-  release.bounds = PgTheoremBounds(*published, options.harness);
-  release.pg = std::move(*published);
+  release.bounds = PgTheoremBounds(published, options.harness);
+  release.pg = std::move(published);
   return release;
 }
 

@@ -16,12 +16,12 @@ namespace pgpub {
 GuaranteeBounds PgTheoremBounds(const PublishedTable& published,
                                 const BreachHarnessOptions& harness);
 
-/// \brief Wraps the paper's publisher (PgPublisher, or the fail-closed
-/// RobustPublisher) as a scenario Publisher. Always publishes with
-/// keep_provenance so the transparent adversary has its replay ground
-/// truth; `hooks` is forwarded to the wrapped pipeline. The pessimistic
-/// baseline of Section VII — generalize and fully randomize, p = 0 — is
-/// the same pipeline at p = 0, exposed via Pessimistic().
+/// \brief Wraps the paper's publisher (PgPublisher) as a scenario
+/// Publisher. Always publishes with keep_provenance so the transparent
+/// adversary has its replay ground truth; `hooks` is forwarded to the
+/// wrapped pipeline. The pessimistic baseline of Section VII —
+/// generalize and fully randomize, p = 0 — is the same pipeline at
+/// p = 0, exposed via Pessimistic().
 class PgScenarioPublisher : public Publisher {
  public:
   struct Config {
@@ -29,9 +29,6 @@ class PgScenarioPublisher : public Publisher {
     /// Retention probability; negative solves from `target`.
     double p = 0.3;
     PrivacyTarget target;
-    /// Route through RobustPublisher (retries + audit) instead of the raw
-    /// pipeline.
-    bool robust = false;
     std::string label = "pg";
   };
 

@@ -31,7 +31,6 @@ ScratchPool::Lease ScratchPool::Acquire() {
     return Lease(this, s);
   }
   all_.push_back(std::make_unique<Phase2Scratch>());
-  ++created_;
   return Lease(this, all_.back().get());
 }
 
@@ -39,11 +38,6 @@ void ScratchPool::Release(Phase2Scratch* scratch) {
   PGPUB_CHECK(scratch != nullptr);
   MutexLock lock(&mu_);
   free_.push_back(scratch);
-}
-
-uint64_t ScratchPool::scratches_created() const {
-  MutexLock lock(&mu_);
-  return created_;
 }
 
 }  // namespace pgpub::columnar

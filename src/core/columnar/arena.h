@@ -10,15 +10,15 @@
 #include "common/sync/mutex.h"
 
 /// \file
-/// Per-request scratch memory for Incognito's columnar Phase-2 engine
+/// Per-search scratch memory for Incognito's columnar Phase-2 engine
 /// (DESIGN.md §15). Lattice-node counting runs thousands of times per
-/// publication; these structures let every call after warm-up reuse
-/// memory it already holds:
+/// search; these structures let every node check after warm-up reuse
+/// memory the search already holds:
 ///
 ///   - DenseGroupCounter: an epoch-marked dense count array — "zeroing"
 ///     between uses is one epoch bump, not an O(cells) memset.
 ///   - ScratchPool: a mutex-guarded free list handing one Phase2Scratch
-///     to each concurrent evaluation; steady state creates nothing.
+///     to each concurrent node check; steady state creates nothing.
 ///
 /// Lifetime rules: a Phase2Scratch is exclusively owned between Acquire()
 /// and the lease's destruction; nothing read out of scratch may outlive
@@ -72,8 +72,9 @@ struct Phase2Scratch {
   std::unordered_map<uint64_t, int64_t> sparse_counts;
 };
 
-/// \brief Free list of Phase2Scratch objects shared across threads and —
-/// when owned by a PublicationEngine — across requests.
+/// \brief Free list of Phase2Scratch objects shared by the worker threads
+/// of one Incognito search; the search owns the pool and frees it on
+/// return.
 ///
 /// Acquire() hands out an existing scratch when one is free and creates
 /// one only when every scratch is in use, so the pool's high-water mark
@@ -111,16 +112,12 @@ class ScratchPool {
 
   [[nodiscard]] Lease Acquire();
 
-  /// Scratches ever created by this pool (== its high-water concurrency).
-  uint64_t scratches_created() const;
-
  private:
   void Release(Phase2Scratch* scratch);
 
-  mutable Mutex mu_{"columnar.scratch_pool", lock_rank::kScratchPool};
+  Mutex mu_{"columnar.scratch_pool", lock_rank::kScratchPool};
   std::vector<std::unique_ptr<Phase2Scratch>> all_ PGPUB_GUARDED_BY(mu_);
   std::vector<Phase2Scratch*> free_ PGPUB_GUARDED_BY(mu_);
-  uint64_t created_ PGPUB_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace pgpub::columnar

@@ -32,7 +32,7 @@ QiIndex QiIndex::Build(const Table& table, const std::vector<int>& qi_attrs) {
   const size_t n = table.num_rows();
   const size_t d = qi_attrs.size();
   out.codes_.resize(d);
-  out.row_to_tuple_.resize(n);
+  out.num_rows_ = n;
 
   uint64_t radix = 0;
   if (d > 0 && RadixFits(table, qi_attrs, &radix)) {
@@ -54,14 +54,13 @@ QiIndex QiIndex::Build(const Table& table, const std::vector<int>& qi_attrs) {
         }
         out.weights_.push_back(0);
       }
-      out.row_to_tuple_[r] = it->second;
       out.weights_[it->second]++;
     }
     return out;
   }
 
   // Multi-pass incremental refinement for huge combined domains: after
-  // pass a, row_to_tuple_ distinguishes rows on the first a+1 attributes.
+  // pass a, ids distinguishes rows on the first a+1 attributes.
   // Keys (partial id, code) always fit u64 since both factors are < 2^32.
   std::vector<int32_t> ids(n, 0);
   size_t num_ids = n == 0 ? 0 : 1;
@@ -88,7 +87,6 @@ QiIndex QiIndex::Build(const Table& table, const std::vector<int>& qi_attrs) {
   std::vector<bool> seen(num_ids, false);
   for (size_t r = 0; r < n; ++r) {
     const int32_t t = ids[r];
-    out.row_to_tuple_[r] = t;
     out.weights_[t]++;
     if (!seen[t]) {
       seen[t] = true;

@@ -11,12 +11,12 @@
 /// The columnar Phase-2 data layer (DESIGN.md §15).
 ///
 /// QiIndex is the *base frequency set* of a table: its distinct raw QI
-/// tuples, dictionary-encoded per attribute as flat code columns, with a
-/// packed row→tuple group-id vector and per-tuple row counts. Phase-2
-/// search never needs anything finer — every candidate generalization
-/// partitions rows by a function of their raw QI codes alone, so any
-/// node's group counts *fold* from the base set in O(tuples · attrs) via
-/// per-(attr, depth) code-remap tables instead of rescanning rows.
+/// tuples, dictionary-encoded per attribute as flat code columns, with
+/// per-tuple row counts. Phase-2 search never needs anything finer —
+/// every candidate generalization partitions rows by a function of
+/// their raw QI codes alone, so any node's group counts *fold* from the
+/// base set in O(tuples · attrs) via per-(attr, depth) code-remap tables
+/// instead of rescanning rows.
 ///
 /// LatticeCounter applies that fold for Incognito: it precomputes, for
 /// every (attribute, generalization depth), the map from raw code to the
@@ -43,7 +43,7 @@ class QiIndex {
 
   const std::vector<int>& qi_attrs() const { return qi_attrs_; }
   size_t num_tuples() const { return weights_.size(); }
-  size_t num_rows() const { return row_to_tuple_.size(); }
+  size_t num_rows() const { return num_rows_; }
 
   /// codes(a)[t] = raw code of attribute qi_attrs()[a] in tuple t.
   const std::vector<int32_t>& codes(size_t a) const { return codes_[a]; }
@@ -51,14 +51,11 @@ class QiIndex {
   /// weights()[t] = number of table rows collapsing to tuple t.
   const std::vector<int64_t>& weights() const { return weights_; }
 
-  /// Packed group-id vector: row_to_tuple()[r] = tuple id of row r.
-  const std::vector<int32_t>& row_to_tuple() const { return row_to_tuple_; }
-
  private:
   std::vector<int> qi_attrs_;
   std::vector<std::vector<int32_t>> codes_;  ///< [attr][tuple]
   std::vector<int64_t> weights_;             ///< [tuple]
-  std::vector<int32_t> row_to_tuple_;        ///< [row]
+  size_t num_rows_ = 0;
 };
 
 /// \brief Incognito's k-anonymity oracle over the base frequency set.

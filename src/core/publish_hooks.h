@@ -11,11 +11,6 @@
 
 namespace pgpub {
 
-namespace columnar {
-class QiIndex;      // core/columnar/qi_index.h
-class ScratchPool;  // core/columnar/arena.h
-}  // namespace columnar
-
 /// What Phase 2 is about to compute — everything the result depends on
 /// besides the dataset and taxonomy family themselves (those are fixed per
 /// hooks instance; see PublishHooks). For TDS the class labels feed the
@@ -30,19 +25,11 @@ struct RecodingQuery {
   int num_classes = 0;
 };
 
-/// Identity of a solved-p fixpoint: the declared target plus the (k, |U^s|)
-/// pair the solver runs against. `p >= 0` requests never consult the cache.
-struct RetentionQuery {
-  PrivacyTarget target;
-  int k = 0;
-  int sensitive_domain_size = 0;
-};
-
 /// \brief Injection points PgPublisher/RobustPublisher offer a multi-request
 /// serving layer (src/engine). One hooks instance is bound to ONE
 /// (dataset, taxonomy family) pair — the implementation content-addresses
-/// its entries with fingerprints of that pair, which is why the queries
-/// above carry only the per-request identity.
+/// its entries with fingerprints of that pair, which is why the query
+/// above carries only the per-request identity.
 ///
 /// Every default below is a no-op, so `PublishHooks base;` behaves exactly
 /// like passing no hooks at all. Contract for cache implementations: a
@@ -70,18 +57,6 @@ class PublishHooks {
   /// lease per call from PgOptions::num_threads" (the one-shot behaviour).
   virtual const PoolLease* pool_lease() const { return nullptr; }
 
-  /// Prebuilt columnar QI index over the bound dataset's QI columns
-  /// (perturbation never touches those, so one index serves every
-  /// request). Null means "Incognito builds one per publish". Consulted
-  /// only by Incognito (TDS scans rows); the returned index must outlive
-  /// the publish call.
-  virtual const columnar::QiIndex* qi_index() { return nullptr; }
-
-  /// Shared scratch pool for Incognito's lattice-node counters, letting
-  /// warmed scratch survive across requests (no steady-state growth).
-  /// Null means "the search owns a private pool per publish".
-  virtual columnar::ScratchPool* scratch_pool() { return nullptr; }
-
   /// Deadline-budget checkpoint. PgPublisher calls this between phases
   /// (before perturbation, generalization and sampling) and
   /// RobustPublisher before every attempt, naming the work about to
@@ -93,16 +68,6 @@ class PublishHooks {
   [[nodiscard]] virtual Status CheckDeadline(const char* about_to_run) {
     (void)about_to_run;
     return Status::OK();
-  }
-
-  [[nodiscard]] virtual std::optional<double> LookupRetention(
-      const RetentionQuery& query) {
-    (void)query;
-    return std::nullopt;
-  }
-  virtual void StoreRetention(const RetentionQuery& query, double p) {
-    (void)query;
-    (void)p;
   }
 
   [[nodiscard]] virtual std::optional<GlobalRecoding> LookupRecoding(

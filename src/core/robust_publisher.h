@@ -23,23 +23,8 @@ struct RobustPublishOptions {
   /// QI attribute to carry a taxonomy; skipped otherwise.
   bool allow_generalizer_fallback = true;
 
-  /// Run VerifyPublication + a guarantee re-check on every candidate
-  /// release and never return a table that fails either (fail-closed).
-  /// Disabling this is for benchmarking the raw pipeline only.
-  bool audit_release = true;
-
-  /// Wall-clock budget for retries, in milliseconds. Attempt 1 always
-  /// runs; any further attempt (reseeded retry or fallback round) starts
-  /// only while the elapsed wall clock is still under the budget —
-  /// otherwise the publisher stops and fails closed with
-  /// DeadlineExceeded, so a retrying publisher can never exceed the
-  /// caller's deadline. Negative (the default) means unlimited, the
-  /// pre-budget behaviour; 0 disables retries entirely.
-  double retry_budget_ms = -1.0;
-
-  /// Policy-bundle rules (max_attempts >= 1, retry_budget_ms finite or
-  /// negative-unlimited), checked once per entry point — the same
-  /// consolidation contract as PgOptions::Validate.
+  /// Policy-bundle rules (max_attempts >= 1), checked once per entry
+  /// point — the same consolidation contract as PgOptions::Validate.
   [[nodiscard]] Status Validate() const;
 };
 

@@ -18,17 +18,6 @@
 
 namespace pgpub::engine {
 
-namespace {
-
-uint64_t DoubleBits(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  __builtin_memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-}  // namespace
-
 Status CachedTaxonomyAudit(const Taxonomy& taxonomy) {
   // Leaked singletons: audited taxonomies outlive any engine, and the memo
   // must never run static destructors concurrently with late audits.
@@ -57,18 +46,12 @@ Status EngineOptions::Validate() const {
     return Status::InvalidArgument("num_threads must be >= 0, got " +
                                    std::to_string(num_threads));
   }
-  if (recoding_cache_capacity == 0) {
-    return Status::InvalidArgument("recoding_cache_capacity must be >= 1");
-  }
-  if (retention_cache_capacity == 0) {
-    return Status::InvalidArgument("retention_cache_capacity must be >= 1");
-  }
   return robust.Validate();
 }
 
 /// The PublishHooks implementation the engine threads through
 /// RobustPublisher into PgPublisher: marks inputs prevalidated, shares the
-/// engine's pool lease, and adapts cache queries to fingerprint keys.
+/// engine's pool lease, and adapts recoding queries to fingerprint keys.
 class PublicationEngine::Hooks final : public PublishHooks {
  public:
   explicit Hooks(PublicationEngine* engine) : engine_(engine) {}
@@ -92,13 +75,6 @@ class PublicationEngine::Hooks final : public PublishHooks {
         " (" + std::to_string(now - deadline) + " ns over)");
   }
 
-  std::optional<double> LookupRetention(const RetentionQuery& query) override {
-    return engine_->retention_cache_.Lookup(KeyOf(query));
-  }
-  void StoreRetention(const RetentionQuery& query, double p) override {
-    engine_->retention_cache_.Insert(KeyOf(query), p);
-  }
-
   std::optional<GlobalRecoding> LookupRecoding(
       const RecodingQuery& query) override {
     return engine_->recoding_cache_.Lookup(KeyOf(query));
@@ -108,24 +84,7 @@ class PublicationEngine::Hooks final : public PublishHooks {
     engine_->recoding_cache_.Insert(KeyOf(query), recoding);
   }
 
-  const columnar::QiIndex* qi_index() override {
-    return engine_->EnsureQiIndex();
-  }
-  columnar::ScratchPool* scratch_pool() override {
-    return &engine_->scratch_pool_;
-  }
-
  private:
-  static RetentionKey KeyOf(const RetentionQuery& query) {
-    return RetentionKey{static_cast<int>(query.target.kind),
-                        DoubleBits(query.target.rho1),
-                        DoubleBits(query.target.rho2),
-                        DoubleBits(query.target.delta),
-                        DoubleBits(query.target.lambda),
-                        query.k,
-                        query.sensitive_domain_size};
-  }
-
   // Cache-key audit: RecodingKey is everything the recoding bytes depend
   // on — and nothing more. Thread count is left out because the search
   // is bit-identical at every thread count (pinned by
@@ -158,8 +117,7 @@ PublicationEngine::PublicationEngine(Table microdata,
       sensitive_index_(sensitive_index),
       sensitive_domain_size_(microdata_.domain(sensitive_index).size()),
       lease_(options.num_threads),
-      recoding_cache_("recoding", options.recoding_cache_capacity),
-      retention_cache_("retention", options.retention_cache_capacity),
+      recoding_cache_("recoding", kRecodingCacheCapacity),
       hooks_(std::make_unique<Hooks>(this)) {
   taxonomy_ptrs_.reserve(taxonomies_.size());
   for (const Taxonomy& t : taxonomies_) taxonomy_ptrs_.push_back(&t);
@@ -239,27 +197,6 @@ Status PublicationEngine::ValidateRequest(
   return Status::OK();
 }
 
-CacheStats PublicationEngine::combined_cache_stats() const {
-  const CacheStats recoding = recoding_cache_.stats();
-  const CacheStats retention = retention_cache_.stats();
-  CacheStats total;
-  total.hits = recoding.hits + retention.hits;
-  total.misses = recoding.misses + retention.misses;
-  total.evictions = recoding.evictions + retention.evictions;
-  return total;
-}
-
-const columnar::QiIndex* PublicationEngine::EnsureQiIndex() {
-  if (qi_index_ == nullptr) {
-    qi_index_ = std::make_unique<columnar::QiIndex>(columnar::QiIndex::Build(
-        microdata_, microdata_.schema().QiIndices()));
-    PGPUB_LOG_DEBUG("engine.qi_index")
-        .Field("rows", microdata_.num_rows())
-        .Field("tuples", qi_index_->num_tuples());
-  }
-  return qi_index_.get();
-}
-
 uint64_t PublicationEngine::NowNanos() const {
   if (options_.now_nanos) return options_.now_nanos();
   return static_cast<uint64_t>(
@@ -283,12 +220,12 @@ Result<PublishedTable> PublicationEngine::Publish(
   if (!options_.tenant_label.empty()) {
     span.Attr("tenant", options_.tenant_label);
   }
-  const CacheStats before = combined_cache_stats();
+  const CacheStats before = recoding_cache_.stats();
   Result<PublishedTable> result =
       RobustPublisher(request.options, options_.robust)
           .Publish(microdata_, taxonomy_ptrs_, report, hooks_.get());
   current_deadline_nanos_ = 0;
-  const CacheStats after = combined_cache_stats();
+  const CacheStats after = recoding_cache_.stats();
   span.Attr("cache_hits", after.hits - before.hits)
       .Attr("cache_misses", after.misses - before.misses)
       .Attr("ok", result.ok());

@@ -10,8 +10,6 @@
 
 #include "common/parallel/thread_pool.h"
 #include "common/result.h"
-#include "core/columnar/arena.h"
-#include "core/columnar/qi_index.h"
 #include "core/robust_publisher.h"
 #include "engine/lru_cache.h"
 #include "hierarchy/recoding.h"
@@ -34,16 +32,9 @@ struct EngineOptions {
   /// `PgOptions::num_threads` values are ignored.
   int num_threads = 0;
 
-  /// Capacity of the Phase-2 recoding cache. Entries are whole
-  /// GlobalRecodings (a few KB each); the SAL request grids of Section VII
-  /// sweep a handful of k values, so a small cache already captures them.
-  size_t recoding_cache_capacity = 32;
-
-  /// Capacity of the solved-p fixpoint cache (entries are one double).
-  size_t retention_cache_capacity = 512;
-
-  /// Fail-closed policy applied to every request (attempts, fallback,
-  /// release audit) — the engine serves through RobustPublisher.
+  /// Fail-closed policy applied to every request (attempts, fallback) —
+  /// the engine serves through RobustPublisher, which audits every
+  /// release.
   RobustPublishOptions robust;
 
   /// Attribution label stamped on every span and per-tenant metric this
@@ -64,7 +55,7 @@ struct EngineOptions {
 /// One publication request against the engine's dataset. The engine
 /// validates it once per call through the consolidated
 /// PgOptions::Validate() taxonomy, then serves it with the engine-owned
-/// pool and caches.
+/// pool and recoding cache.
 struct PublishRequest {
   PgOptions options;
 
@@ -81,15 +72,13 @@ struct PublishRequest {
 /// family (DESIGN.md §10).
 ///
 /// Owns the microdata, its taxonomies, a resolved thread-pool lease, and
-/// two content-addressed caches:
-///
-///   - recoding cache: Phase-2 generalizations keyed by (generalizer, k,
-///     class-label fingerprint) — the dominant per-request cost. TDS keys
-///     include the perturbed class labels its information gain consumed;
-///     Incognito ignores labels, so one lattice search is shared by every
-///     request that differs only in seed or retention.
-///   - retention cache: solved-p fixpoints keyed by (target kind, ρ₁, ρ₂,
-///     Δ, λ, k, |Uˢ|).
+/// one content-addressed cache: Phase-2 recodings keyed by (generalizer,
+/// k, class-label fingerprint) — the dominant per-request cost. TDS keys
+/// include the perturbed class labels its information gain consumed;
+/// Incognito ignores labels, so one lattice search is shared by every
+/// request that differs only in seed or retention. A solved retention p
+/// is recomputed per request: its closed-form bisection is negligible
+/// next to Phase 2 (DESIGN.md §10).
 ///
 /// The dataset-level input screen (taxonomy audits via CachedTaxonomyAudit,
 /// sensitive-code range scan, QI/taxonomy arity) runs once at Create;
@@ -115,7 +104,7 @@ class PublicationEngine {
   ~PublicationEngine();
 
   /// Serves one request fail-closed. `report`, when non-null, additionally
-  /// receives this request's cache activity in `report->cache`.
+  /// receives this request's recoding-cache activity in `report->cache`.
   [[nodiscard]] Result<PublishedTable> Publish(const PublishRequest& request,
                                                PublishReport* report =
                                                    nullptr);
@@ -126,25 +115,22 @@ class PublicationEngine {
   }
   int num_threads() const { return lease_.num_threads(); }
 
-  /// Content identities the caches are scoped to.
+  /// Content identities the recoding cache is scoped to.
   uint64_t table_fingerprint() const { return table_fingerprint_; }
   uint64_t taxonomy_fingerprint() const { return taxonomy_fingerprint_; }
 
+  /// Entries the recoding cache holds before evicting the least recently
+  /// used. A GlobalRecoding is a few KB; the SAL request grids of Section
+  /// VII sweep a handful of k values, so a small cache captures them.
+  static constexpr size_t kRecodingCacheCapacity = 32;
+
   CacheStats recoding_cache_stats() const { return recoding_cache_.stats(); }
-  CacheStats retention_cache_stats() const {
-    return retention_cache_.stats();
-  }
-  /// Both caches combined — what PublishReport::cache deltas are cut from.
-  CacheStats combined_cache_stats() const;
 
  private:
   class Hooks;
 
   /// (generalizer, k, class-label fingerprint; 0 for Incognito).
   using RecodingKey = std::tuple<int, int, uint64_t>;
-  /// (target kind, ρ₁ bits, ρ₂ bits, Δ bits, λ bits, k, |Uˢ|).
-  using RetentionKey =
-      std::tuple<int, uint64_t, uint64_t, uint64_t, uint64_t, int, int>;
 
   PublicationEngine(Table microdata, std::vector<Taxonomy> taxonomies,
                     EngineOptions options, int sensitive_index);
@@ -157,12 +143,6 @@ class PublicationEngine {
   /// Monotonic now on the engine clock (EngineOptions::now_nanos, else
   /// std::chrono::steady_clock).
   uint64_t NowNanos() const;
-
-  /// Lazily builds (once) and returns the columnar QI index over the
-  /// engine's microdata — perturbation never touches QI columns, so one
-  /// index serves every request. Plain lazy init: Publish is
-  /// single-threaded by contract and the hooks call this from inside it.
-  const columnar::QiIndex* EnsureQiIndex();
 
   Table microdata_;
   std::vector<Taxonomy> taxonomies_;
@@ -178,13 +158,6 @@ class PublicationEngine {
   /// hooks read it from the same thread.
   uint64_t current_deadline_nanos_ = 0;
   LruCache<RecodingKey, GlobalRecoding> recoding_cache_;
-  LruCache<RetentionKey, double> retention_cache_;
-  /// Incognito's columnar Phase-2 state shared across requests (DESIGN.md
-  /// §15): the QI index is built on first columnar Incognito search; the
-  /// scratch pool keeps warmed counters so steady-state node folds reuse
-  /// their memory.
-  std::unique_ptr<columnar::QiIndex> qi_index_;
-  columnar::ScratchPool scratch_pool_;
   std::unique_ptr<Hooks> hooks_;
 };
 

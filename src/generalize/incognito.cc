@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/failpoint.h"
+#include "core/columnar/arena.h"
 #include "generalize/metrics.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -81,12 +82,9 @@ Result<GlobalRecoding> IncognitoSearch(
     index = owned_index.get();
   }
   const columnar::LatticeCounter counter(index, taxonomies);
-  std::unique_ptr<columnar::ScratchPool> owned_scratch;
-  columnar::ScratchPool* scratch = options.scratch;
-  if (scratch == nullptr) {
-    owned_scratch = std::make_unique<columnar::ScratchPool>();
-    scratch = owned_scratch.get();
-  }
+  // One pool per search: each concurrent node check leases its own
+  // scratch, and the pool is freed with the search.
+  columnar::ScratchPool scratch;
 
   // Memoized k-anonymity per lattice node. The anonymity of a node is a
   // pure function of (table, node), so a level's unknown nodes can be
@@ -94,7 +92,7 @@ Result<GlobalRecoding> IncognitoSearch(
   // changing any answer.
   std::map<std::vector<int>, bool> anon_memo;
   auto check_anonymous = [&](const std::vector<int>& depths) -> bool {
-    columnar::ScratchPool::Lease lease = scratch->Acquire();
+    columnar::ScratchPool::Lease lease = scratch.Acquire();
     return counter.IsKAnonymousAtDepths(depths, options.k, lease.get());
   };
 

@@ -4,7 +4,6 @@
 
 #include "common/parallel/thread_pool.h"
 #include "common/result.h"
-#include "core/columnar/arena.h"
 #include "core/columnar/phase2.h"
 #include "core/columnar/qi_index.h"
 #include "generalize/qi_groups.h"
@@ -28,14 +27,10 @@ struct IncognitoOptions {
   /// Ignored; kept so the frozen perfbench driver compiles.
   columnar::Phase2Impl phase2 = columnar::Phase2Impl::kAuto;
 
-  /// Optional prebuilt QI index over (table, qi_attrs), typically shared
-  /// by a PublicationEngine. Null (or an index over other attributes) =
-  /// build one per search.
+  /// Optional prebuilt QI index over (table, qi_attrs). Null (or an
+  /// index over other attributes) = build one per search. Only the
+  /// perfbench driver sets it, to time the index build as its own layer.
   const columnar::QiIndex* qi_index = nullptr;
-
-  /// Optional shared scratch pool for the per-node counters. Null = the
-  /// search owns a private pool.
-  columnar::ScratchPool* scratch = nullptr;
 };
 
 /// \brief Full-domain generalization search in the spirit of Incognito

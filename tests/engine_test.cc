@@ -196,30 +196,72 @@ TEST(CacheEquivalenceTest, WarmEqualsColdAcrossDatasetsGeneralizersThreads) {
   }
 }
 
-TEST(CacheEquivalenceTest, SolvedRetentionIsCachedAndByteIdentical) {
+/// Solved-p requests are served without any retention cache: p is
+/// recomputed from the closed-form bounds on every request, so engine
+/// releases under a ρ₁-to-ρ₂ or a Δ-growth target, cold and warm, must be
+/// byte-identical to one-shot RobustPublisher releases.
+TEST(CacheEquivalenceTest, SolvedRetentionMatchesOneShot) {
   CensusDataset census = GenerateCensus(1200, 3).ValueOrDie();
+  auto engine =
+      PublicationEngine::Create(census.table, census.taxonomies).ValueOrDie();
+
+  PrivacyTarget rho;
+  rho.kind = PrivacyTarget::Kind::kRho;
+  rho.rho1 = 0.2;
+  rho.rho2 = 0.5;
+  PrivacyTarget delta;
+  delta.kind = PrivacyTarget::Kind::kDelta;
+  delta.delta = 0.4;
+  for (const PrivacyTarget& target : {rho, delta}) {
+    SCOPED_TRACE("target kind " +
+                 std::to_string(static_cast<int>(target.kind)));
+    PublishRequest request;
+    request.options.k = 6;
+    request.options.p = -1.0;
+    request.options.target = target;
+    request.options.seed = 9;
+
+    const PublishedTable reference =
+        RobustPublisher(request.options)
+            .Publish(census.table, census.TaxonomyPointers())
+            .ValueOrDie();
+    const PublishedTable cold = engine->Publish(request).ValueOrDie();
+    const PublishedTable warm = engine->Publish(request).ValueOrDie();
+
+    EXPECT_DOUBLE_EQ(cold.retention_p(), reference.retention_p());
+    EXPECT_EQ(Flatten(cold), Flatten(reference));
+    EXPECT_EQ(Flatten(warm), Flatten(reference));
+  }
+}
+
+/// The recoding cache is the engine's only cache, and a request consults
+/// it exactly once: a fresh TDS request is one miss, a repeated
+/// Incognito request at the same k is one hit.
+TEST(CacheProvenanceTest, OneRecodingLookupPerRequest) {
+  CensusDataset census = GenerateCensus(1000, 8).ValueOrDie();
+  auto engine =
+      PublicationEngine::Create(census.table, census.taxonomies).ValueOrDie();
+
   PublishRequest request;
   request.options.k = 6;
   request.options.p = -1.0;
   request.options.target.kind = PrivacyTarget::Kind::kRho;
   request.options.target.rho1 = 0.2;
   request.options.target.rho2 = 0.5;
-  request.options.seed = 9;
+  request.options.seed = 3;
 
-  const PublishedTable reference =
-      RobustPublisher(request.options)
-          .Publish(census.table, census.TaxonomyPointers())
-          .ValueOrDie();
+  request.options.generalizer = PgOptions::Generalizer::kTds;
+  PublishReport tds_report;
+  ASSERT_TRUE(engine->Publish(request, &tds_report).ok());
+  EXPECT_EQ(tds_report.cache.hits, 0u);
+  EXPECT_EQ(tds_report.cache.misses, 1u);
 
-  auto engine =
-      PublicationEngine::Create(census.table, census.taxonomies).ValueOrDie();
-  const PublishedTable cold = engine->Publish(request).ValueOrDie();
-  EXPECT_EQ(engine->retention_cache_stats().misses, 1u);
-  const PublishedTable warm = engine->Publish(request).ValueOrDie();
-  EXPECT_EQ(engine->retention_cache_stats().hits, 1u);
-
-  EXPECT_EQ(Flatten(cold), Flatten(reference));
-  EXPECT_EQ(Flatten(warm), Flatten(reference));
+  request.options.generalizer = PgOptions::Generalizer::kIncognito;
+  ASSERT_TRUE(engine->Publish(request).ok());
+  PublishReport incognito_report;
+  ASSERT_TRUE(engine->Publish(request, &incognito_report).ok());
+  EXPECT_EQ(incognito_report.cache.hits, 1u);
+  EXPECT_EQ(incognito_report.cache.misses, 0u);
 }
 
 /// Incognito's lattice search ignores the perturbed labels, so requests
@@ -263,38 +305,40 @@ TEST(CacheEquivalenceTest, RecodingKeyTracksLabelDependence) {
 
 // ----------------------------------------------------- negative tests
 
-/// A capacity-1 recoding cache thrashed by alternating k values must
-/// evict — and keep serving byte-correct releases while doing so.
+/// More distinct k values than the recoding cache holds must evict the
+/// least recently used recoding — and a request for it afterwards must
+/// miss and still serve the bytes a fresh engine serves.
 TEST(CacheEvictionTest, EvictionPreservesCorrectness) {
   CensusDataset census = GenerateCensus(1000, 5).ValueOrDie();
-  EngineOptions engine_options;
-  engine_options.recoding_cache_capacity = 1;
-  auto engine = PublicationEngine::Create(census.table, census.taxonomies,
-                                          engine_options)
-                    .ValueOrDie();
+  auto engine =
+      PublicationEngine::Create(census.table, census.taxonomies).ValueOrDie();
 
   PublishRequest request;
   request.options.p = 0.3;
   request.options.seed = 6;
 
-  std::vector<std::vector<int32_t>> first_round;
-  for (const int k : {4, 6, 4, 6}) {
+  constexpr int kFirstK = 2;
+  const int distinct =
+      static_cast<int>(PublicationEngine::kRecodingCacheCapacity) + 1;
+  for (int k = kFirstK; k < kFirstK + distinct; ++k) {
     request.options.k = k;
-    first_round.push_back(Flatten(engine->Publish(request).ValueOrDie()));
+    ASSERT_TRUE(engine->Publish(request).ok()) << "k=" << k;
   }
-  // All four were misses: capacity 1 cannot hold both k identities.
-  EXPECT_EQ(engine->recoding_cache_stats().misses, 4u);
-  EXPECT_GE(engine->recoding_cache_stats().evictions, 3u);
+  EXPECT_EQ(engine->recoding_cache_stats().misses,
+            static_cast<uint64_t>(distinct));
+  EXPECT_GE(engine->recoding_cache_stats().evictions, 1u);
 
-  // Fresh engine (ample capacity) agrees byte-for-byte with every round.
+  // The first k was the least recently used entry, so it was evicted.
+  request.options.k = kFirstK;
+  PublishReport report;
+  const PublishedTable reserved =
+      engine->Publish(request, &report).ValueOrDie();
+  EXPECT_EQ(report.cache.hits, 0u);
+  EXPECT_EQ(report.cache.misses, 1u);
+
   auto fresh =
       PublicationEngine::Create(census.table, census.taxonomies).ValueOrDie();
-  std::vector<std::vector<int32_t>> second_round;
-  for (const int k : {4, 6, 4, 6}) {
-    request.options.k = k;
-    second_round.push_back(Flatten(fresh->Publish(request).ValueOrDie()));
-  }
-  EXPECT_EQ(first_round, second_round);
+  EXPECT_EQ(Flatten(reserved), Flatten(fresh->Publish(request).ValueOrDie()));
 }
 
 /// Hooks whose Lookup returns the wrong recoding (what a fingerprint
@@ -350,13 +394,6 @@ TEST(PublicationEngineTest, CreateRejectsBadInputs) {
   short_family.pop_back();
   EXPECT_TRUE(PublicationEngine::Create(census.table,
                                         std::move(short_family))
-                  .status()
-                  .IsInvalidArgument());
-
-  EngineOptions bad_options;
-  bad_options.recoding_cache_capacity = 0;
-  EXPECT_TRUE(PublicationEngine::Create(census.table, census.taxonomies,
-                                        bad_options)
                   .status()
                   .IsInvalidArgument());
 }

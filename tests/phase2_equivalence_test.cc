@@ -425,29 +425,5 @@ TEST(Phase2EquivalenceTest, LatticeCounterSparseFallbackMatchesNaive) {
   }
 }
 
-TEST(Phase2EquivalenceTest, IncognitoScratchPoolIsReusedAcrossSearches) {
-  CensusDataset census = GenerateCensus(1200, 23).ValueOrDie();
-  const std::vector<int> qi_attrs = {CensusColumns::kAge,
-                                     CensusColumns::kGender};
-  const std::vector<const Taxonomy*> tax_ptrs = {
-      &census.taxonomies[CensusColumns::kAge],
-      &census.taxonomies[CensusColumns::kGender]};
-
-  columnar::ScratchPool pool;
-  IncognitoOptions options;
-  options.k = 8;
-  options.scratch = &pool;
-
-  GlobalRecoding first =
-      IncognitoSearch(census.table, qi_attrs, tax_ptrs, options).ValueOrDie();
-  const uint64_t created_before = pool.scratches_created();
-  GlobalRecoding second =
-      IncognitoSearch(census.table, qi_attrs, tax_ptrs, options).ValueOrDie();
-  // The serial search needs exactly the scratches it already pooled.
-  EXPECT_EQ(pool.scratches_created(), created_before);
-  EXPECT_EQ(ComputeQiGroups(census.table, first).num_groups(),
-            ComputeQiGroups(census.table, second).num_groups());
-}
-
 }  // namespace
 }  // namespace pgpub

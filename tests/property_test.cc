@@ -22,7 +22,7 @@ namespace {
 
 // ----------------------------------------------- estimator consistency
 
-TEST(EstimatorConsistencyTest, ReconstructorMatchesChannelInversion) {
+TEST(EstimatorConsistencyTest, ReconstructorIsExactOnExpectedCounts) {
   // On noiseless (expected) observations over a uniform channel, the
   // moment reconstructor recovers the true distribution exactly.
   Rng rng(1);

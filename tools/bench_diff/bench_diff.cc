@@ -9,8 +9,9 @@
 ///   bench_diff [--tolerance=F] [--metric=KEY:lower|higher ...]
 ///              BASELINE CURRENT
 ///
-///   --tolerance=F   allowed relative drift in the bad direction
-///                   (default 0.5, i.e. 50%; smoke runners are noisy).
+///   --tolerance=F   allowed relative drift in the bad direction: the
+///                   worse value over the better one, minus 1 (default
+///                   0.5, i.e. 1.5x; smoke runners are noisy).
 ///   --metric=K:DIR  track results-row member K; DIR says which
 ///                   direction is better ("lower" for latencies,
 ///                   "higher" for throughputs). Repeatable.
@@ -27,6 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -145,16 +147,22 @@ int Run(const Options& options) {
         continue;
       }
       ++compared;
-      // Relative drift in the bad direction. A zero baseline cannot
-      // regress in the lower-is-better sense and any positive value is
-      // an improvement in the higher-is-better sense, so guard it.
+      // Relative drift in the bad direction, as the ratio of the worse
+      // value to the better one minus 1, so a tolerance bounds a rise and
+      // a drop alike (9.0 flags more than 10x either way). A higher-is-
+      // better metric that falls to zero has an infinite drift. A zero
+      // baseline cannot regress in the lower-is-better sense and any
+      // positive value is an improvement in the higher-is-better sense,
+      // so guard it.
       bool regressed = false;
       double drift = 0.0;
       if (base_value > 0.0) {
         if (metric.lower_is_better) {
           drift = cur_value / base_value - 1.0;
+        } else if (cur_value > 0.0) {
+          drift = base_value / cur_value - 1.0;
         } else {
-          drift = 1.0 - cur_value / base_value;
+          drift = std::numeric_limits<double>::infinity();
         }
         regressed = drift > options.tolerance;
       } else if (metric.lower_is_better && cur_value > 0.0) {
